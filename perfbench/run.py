@@ -20,9 +20,9 @@ verdict and the attempted/failed counts come from the distinct
 repetitions, so they depend on the seed alone; the host-clock metrics
 are medians over every repetition, replays included.
 
-``--trace 0`` reports the end-to-end metrics; ``--trace 1`` reports the
-per-layer metrics, for which repetition 0 runs once more under
-``cProfile``.  Each metric is printed by name with its unit; the last
+``--trace 0`` reports the end-to-end metrics; ``--trace 1`` also prints
+them, but reports the per-layer metrics, for which repetition 0 runs
+once more under ``cProfile``.  Each metric is printed by name with its unit; the last
 line of standard output is the JSON result.  The run exits non-zero,
 printing no result, when the program's sources are missing from the
 checkout.
@@ -68,6 +68,12 @@ def _measure(workload, seed: int, seconds: float):
     return summaries
 
 
+def _print_metrics(specs, values, samples) -> None:
+    for name, unit, _ in specs:
+        count = f"  (n={samples[name]})" if name in samples else ""
+        print(f"  {name:42s} {values[name]:>14.6g} {unit}{count}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="perfbench/run.py")
     parser.add_argument("--workload", required=True)
@@ -85,7 +91,13 @@ def main(argv: list[str] | None = None) -> int:
                      f"(choices: {', '.join(workloads.WORKLOADS)})")
 
     summaries = _measure(workload, args.seed, args.seconds)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    values, samples = report.end_to_end(summaries, workload.sim_reps, peak_mb)
+    specs = report.END_TO_END
     if args.trace:
+        # The end-to-end figures are printed for reading; the result
+        # line carries the per-layer ones.
+        _print_metrics(specs, values, samples)
         profiler = cProfile.Profile()
         traced = workloads.run_rep(workload, args.seed, 0, profiler=profiler)
         values = report.per_layer(summaries, workload.sim_reps, report.Traced(
@@ -93,11 +105,6 @@ def main(argv: list[str] | None = None) -> int:
             untraced_wall_s=summaries[0].wall_s,
             committed=sum(o.committed for o in traced.outcomes)))
         specs, samples = report.PER_LAYER, {}
-    else:
-        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        values, samples = report.end_to_end(summaries, workload.sim_reps,
-                                            peak_mb)
-        specs = report.END_TO_END
 
     distinct = summaries[:workload.sim_reps]
     violations = [v for s in distinct for v in s.violations]
@@ -108,11 +115,9 @@ def main(argv: list[str] | None = None) -> int:
               f"returned a stale value (cluster.stale_read_backs)")
     print(f"{args.workload} seed={args.seed} repetitions={len(summaries)} "
           f"audit={'ok' if not violations else 'FAILED'}")
-    metrics = {}
-    for name, unit, _ in specs:
-        count = f"  (n={samples[name]})" if name in samples else ""
-        print(f"  {name:42s} {values[name]:>14.6g} {unit}{count}")
-        metrics[name] = {"value": values[name], "unit": unit}
+    _print_metrics(specs, values, samples)
+    metrics = {name: {"value": values[name], "unit": unit}
+               for name, unit, _ in specs}
     print(json.dumps({
         "correct": not violations,
         "attempted": sum(s.committed + s.failed for s in distinct),
