@@ -17,6 +17,9 @@ import statistics
 from dataclasses import dataclass, field
 import deploy
 import layers
+from repro.actions.locks import LockManager
+from repro.cluster.server_host import ObjectServer, ServerHost
+from repro.sim.metrics import PlaneTraffic, estimate_size
 from workloads import Rep
 
 #: (name, unit, better) of every end-to-end metric, reported by every
@@ -221,10 +224,6 @@ def per_layer(summaries: list[Summary], sim_reps: int,
 
     def per_commit(key: str) -> float:
         return _ratio(count(key), committed)
-
-    from repro.actions.locks import LockManager
-    from repro.cluster.server_host import ObjectServer, ServerHost
-    from repro.sim.metrics import PlaneTraffic, estimate_size
 
     stats = traced.stats
     messages = sum(layers.ncalls(stats, method) for method in (

@@ -123,7 +123,7 @@ def plan_read_crowd(seed: int, rep: int) -> Plan:
 
 def plan_replica_failover(seed: int, rep: int) -> Plan:
     """16 active-replication clients, 70/30 get/add over 32 shared objects."""
-    clients, objects, ops = 16, 32, 150
+    clients, objects, ops = 16, 32, 80
     streams = []
     for index in range(clients):
         rng = _rng("replica_failover", seed, rep, f"c{index}")
@@ -139,7 +139,7 @@ def plan_replica_failover(seed: int, rep: int) -> Plan:
     # Overlapping outages of one server host and one store host,
     # relative to the start of the measured phase.
     outages = [(0.4, 1.6, "sv1"), (1.0, 2.2, "st2")]
-    return Plan(clients, objects, 10.0, streams, warmup, outages=outages)
+    return Plan(clients, objects, 5.0, streams, warmup, outages=outages)
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,9 @@ class Workload:
     boot: Callable[[int, int, int], deploy.Deployment]
     # Repetitions pooled into the simulated-clock metrics: enough that
     # their spread across seeds stays well inside the benchmark's bounds
-    # (read_crowd's tail hangs on a handful of writes per repetition).
+    # (read_crowd's tail hangs on a handful of writes per repetition;
+    # replica_failover's short repetitions give its host figures more
+    # samples per run).
     sim_reps: int
 
 
@@ -159,7 +161,7 @@ WORKLOADS: dict[str, Workload] = {
     "read_crowd": Workload("read_crowd", plan_read_crowd,
                            deploy.boot_read_crowd, sim_reps=6),
     "replica_failover": Workload("replica_failover", plan_replica_failover,
-                                 deploy.boot_replica_failover, sim_reps=4),
+                                 deploy.boot_replica_failover, sim_reps=8),
 }
 
 
