@@ -12,6 +12,8 @@ Workloads (see ``BENCHMARK.json`` for why each was chosen):
   through the leased, push-invalidated read path;
 - ``replica_failover``: the paper's deployment -- one name node, use
   lists, active replication -- through a server and a store outage.
+  The program loses committed writes on it, so it is not listed in
+  ``BENCHMARK.json`` and most seeds report ``"correct": false``.
 
 A run executes the workload's ``sim_reps`` distinct repetitions (a
 fresh system each), then replays them in turn until ``--seconds`` of

@@ -153,15 +153,20 @@ class Workload:
     # replica_failover's short repetitions give its host figures more
     # samples per run).
     sim_reps: int
+    # Listed in BENCHMARK.json.  A workload on which the program fails
+    # the audit stays runnable by name but is held out of the list
+    # until the program is fixed (perfbench/README.md says why).
+    listed: bool = True
 
 
 WORKLOADS: dict[str, Workload] = {
     "commit_storm": Workload("commit_storm", plan_commit_storm,
                              deploy.boot_commit_storm, sim_reps=6),
     "read_crowd": Workload("read_crowd", plan_read_crowd,
-                           deploy.boot_read_crowd, sim_reps=6),
+                           deploy.boot_read_crowd, sim_reps=9),
     "replica_failover": Workload("replica_failover", plan_replica_failover,
-                                 deploy.boot_replica_failover, sim_reps=8),
+                                 deploy.boot_replica_failover, sim_reps=8,
+                                 listed=False),
 }
 
 
