@@ -14,7 +14,7 @@ which the recovery protocol re-``Insert``s the node into ``Sv`` sets.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any, Generator, Iterable
 
 from repro.actions.action import ActionId
 from repro.actions.locks import LockManager, LockMode
@@ -98,6 +98,12 @@ class ObjectServer:
             if _is_prefix(path, owner.path):
                 self.locks.release_all(owner)
 
+    def holds(self, action_path: tuple[int, ...]) -> bool:
+        """Whether a lock or before-image here belongs under the path."""
+        path = tuple(action_path)
+        return self.wrote_under(path) or any(
+            _is_prefix(path, owner.path) for owner in self.locks.owners())
+
     # -- state transfer -------------------------------------------------------------
 
     def get_state(self) -> tuple[bytes, int]:
@@ -113,6 +119,22 @@ class ObjectServer:
         return not self.locks.owners() and not self._images
 
 
+class _ActionEntry:
+    """What one top-level action tree has left on a host.
+
+    ``servers`` are the servers its invocations reached here, the only
+    ones its prepare, commit and abort must visit.  ``client`` names the
+    client node that drives it, once an invocation left state here; the
+    janitor probes that node.
+    """
+
+    __slots__ = ("servers", "client")
+
+    def __init__(self) -> None:
+        self.servers: dict[ObjectServer, None] = {}  # an ordered set
+        self.client = ""
+
+
 class ServerHost:
     """Per-node service managing that node's activated object servers."""
 
@@ -122,11 +144,13 @@ class ServerHost:
         self._registry = registry
         self._servers: dict[Uid, ObjectServer] = {}
         self._groups_joined: dict[str, GroupView] = {}
-        # Which client node drives each action with state here; the
-        # janitor uses it to abort actions of crashed clients (the
-        # failure-detection/cleanup protocol of paper section 4.1.3,
-        # applied to server-side locks and before-images).
-        self._action_clients: dict[tuple[int, ...], str] = {}
+        # The 2PC participant table, keyed by top-level action serial:
+        # the servers each action tree reached here and the client node
+        # that drives it.  The janitor uses the client to abort actions
+        # of crashed clients (the failure-detection/cleanup protocol of
+        # paper section 4.1.3, applied to server-side locks and
+        # before-images).
+        self._actions: dict[int, _ActionEntry] = {}
         self.janitor_interval = janitor_interval
         self.janitor_aborts = 0
         # A recovering node must not activate servers until its Insert
@@ -151,12 +175,12 @@ class ServerHost:
         from repro.sim.process import Timeout
         while True:
             yield Timeout(self.janitor_interval)
-            for path, client_node in list(self._action_clients.items()):
-                if path not in self._action_clients:
+            for top, entry in list(self._actions.items()):
+                if self._actions.get(top) is not entry or not entry.client:
                     continue  # resolved while we probed another one
-                alive = yield from self._client_alive(client_node)
+                alive = yield from self._client_alive(entry.client)
                 if not alive:
-                    self.abort(path)
+                    self.abort((top,))
                     self.janitor_aborts += 1
 
     def _client_alive(self, client_ref: str) -> Generator[Any, Any, bool]:
@@ -171,17 +195,6 @@ class ServerHost:
         if epoch_text:
             return answer == int(epoch_text)
         return True
-
-    def _track_action(self, action_path: tuple[int, ...],
-                      client_node: str) -> None:
-        if client_node:
-            self._action_clients[tuple(action_path)] = client_node
-
-    def _untrack_tree(self, action_path: tuple[int, ...]) -> None:
-        path = tuple(action_path)
-        for tracked in list(self._action_clients):
-            if _is_prefix(path, tracked):
-                del self._action_clients[tracked]
 
     # -- activation (paper section 3.1) -----------------------------------------
 
@@ -231,8 +244,26 @@ class ServerHost:
     def invoke(self, action_path: tuple[int, ...], uid_text: str, op: str,
                args: tuple, client_node: str = "") -> Any:
         server = self._server(uid_text)
-        value = server.invoke(action_path, op, tuple(args))
-        self._track_action(action_path, client_node)
+        top = action_path[0]
+        entry = self._actions.get(top)
+        if entry is None:
+            entry = self._actions[top] = _ActionEntry()
+        # Enlist the server before the call: a lock or before-image an
+        # operation leaves behind is covered by 2PC even if it raises.
+        entry.servers[server] = None
+        try:
+            value = server.invoke(action_path, op, tuple(args))
+        except Exception:
+            if not server.holds((top,)):
+                # Refused before it locked anything: nothing to cover.
+                del entry.servers[server]
+                if not entry.servers and not entry.client:
+                    del self._actions[top]
+            elif client_node:
+                entry.client = client_node
+            raise
+        if client_node:
+            entry.client = client_node
         return value
 
     def _server(self, uid_text: str) -> ObjectServer:
@@ -247,27 +278,42 @@ class ServerHost:
     def ping(self) -> str:
         return "pong"
 
-    # -- 2PC participant (host-level: covers all its servers) ------------------------
+    # -- 2PC participant (host-level: covers the servers the action reached) ----------
+
+    def _participants(self, action_path: tuple[int, ...]) -> Iterable[ObjectServer]:
+        entry = self._actions.get(action_path[0])
+        return entry.servers if entry is not None else ()
+
+    def _resolve(self, action_path: tuple[int, ...]) -> None:
+        """Forget a top-level action once it committed or aborted here.
+
+        A nested action's outcome leaves its tree's entry in place: the
+        parent still owns (or inherits) what the tree holds here.
+        """
+        if len(action_path) == 1:
+            self._actions.pop(action_path[0], None)
 
     def prepare(self, action_path: tuple[int, ...]) -> str:
-        wrote = any(s.wrote_under(tuple(action_path))
-                    for s in self._servers.values())
-        if not wrote:
+        path = tuple(action_path)
+        servers = self._participants(path)
+        if not any(server.wrote_under(path) for server in servers):
             # Read-only optimisation: release read locks at prepare.
-            for server in self._servers.values():
-                server._release_tree(tuple(action_path))
+            for server in servers:
+                server._release_tree(path)
             return "readonly"
         return "ok"
 
     def commit(self, action_path: tuple[int, ...]) -> None:
-        for server in self._servers.values():
-            server.commit(tuple(action_path))
-        self._untrack_tree(action_path)
+        path = tuple(action_path)
+        for server in self._participants(path):
+            server.commit(path)
+        self._resolve(path)
 
     def abort(self, action_path: tuple[int, ...]) -> None:
-        for server in self._servers.values():
-            server.abort(tuple(action_path))
-        self._untrack_tree(action_path)
+        path = tuple(action_path)
+        for server in self._participants(path):
+            server.abort(path)
+        self._resolve(path)
 
     # -- state transfer ----------------------------------------------------------------
 

@@ -8,21 +8,38 @@ sent it (RPC, multicast, ...).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any
+
+from repro.sim.metrics import estimate_size
 
 _message_ids = itertools.count(1)
 
 
-@dataclass(frozen=True)
 class Message:
-    """An addressed datagram."""
+    """An addressed datagram.
 
-    sender: str
-    target: str
-    kind: str
-    payload: Any
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    The same object travels from the sender's interface to the
+    receiver's, so its metered :attr:`size` is computed at most once,
+    on first use, and both ends record the same number.
+    """
+
+    __slots__ = ("sender", "target", "kind", "payload", "msg_id", "_size")
+
+    def __init__(self, sender: str, target: str, kind: str,
+                 payload: Any) -> None:
+        self.sender = sender
+        self.target = target
+        self.kind = kind
+        self.payload = payload
+        self.msg_id = next(_message_ids)
+        self._size = -1
+
+    @property
+    def size(self) -> int:
+        """The payload's wire size, by :func:`estimate_size`."""
+        if self._size < 0:
+            self._size = estimate_size(self.payload)
+        return self._size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Message #{self.msg_id} {self.sender}->{self.target} "

@@ -41,6 +41,7 @@ from repro.net.demux import MessageDemux
 from repro.net.groups import GroupView
 from repro.net.message import Message
 from repro.net.network import NetworkInterface
+from repro.sim.metrics import estimate_size
 from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import NULL_TRACER, Tracer
 
@@ -181,13 +182,16 @@ class MulticastMember:
 
     def _dispatch(self, message: Message) -> None:
         if self._traffic is not None:
-            self._traffic.record_multicast_received(message.payload)
+            self._traffic.record_multicast_received(message.size)
         self._on_message(message)
 
     def _transmit(self, member: str, kind: str, data: Any) -> None:
+        message = self._nic.send(member, kind, data)
         if self._traffic is not None:
-            self._traffic.record_multicast_sent(data)
-        self._nic.send(member, kind, data)
+            # A member that is down still meters the frame it tried to
+            # send; no message was built for it, so size the data here.
+            self._traffic.record_multicast_sent(
+                message.size if message is not None else estimate_size(data))
 
     def _on_message(self, message: Message) -> None:  # pragma: no cover - abstract
         raise NotImplementedError

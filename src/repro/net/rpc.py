@@ -234,9 +234,8 @@ class RpcAgent:
                                           self._boot_epoch)
             else:
                 outbox.append(request)
-        elif self._nic.send(target, REQUEST_KIND, request) is not None \
-                and self._traffic is not None:
-            self._traffic.record_sent(request)
+        else:
+            self._send(target, REQUEST_KIND, request)
         deadline = timeout if timeout is not None else self.default_timeout
         timer = self._scheduler.schedule(deadline, self._expire, request, target)
         future.add_callback(lambda _f: timer.cancel())
@@ -259,15 +258,16 @@ class RpcAgent:
         if len(requests) == 1:
             # No peer in the frame: ship the plain request so single
             # calls look identical on the wire with pipelining on.
-            if self._nic.send(target, REQUEST_KIND, requests[0]) is not None \
-                    and self._traffic is not None:
-                self._traffic.record_sent(requests[0])
+            self._send(target, REQUEST_KIND, requests[0])
             return
-        frame = tuple(requests)
         self.frames_sent += 1
-        if self._nic.send(target, FRAME_KIND, frame) is not None \
-                and self._traffic is not None:
-            self._traffic.record_sent(frame)
+        self._send(target, FRAME_KIND, tuple(requests))
+
+    def _send(self, target: str, kind: str, payload: Any) -> None:
+        """Put one message on the wire and meter it if it left."""
+        message = self._nic.send(target, kind, payload)
+        if message is not None and self._traffic is not None:
+            self._traffic.record_sent(message.size)
 
     def _expire(self, request: RpcRequest, target: str) -> None:
         future = self._pending.pop(request.request_id, None)
@@ -281,7 +281,7 @@ class RpcAgent:
 
     def _on_message(self, message: Message) -> None:
         if self._traffic is not None:
-            self._traffic.record_received(message.payload)
+            self._traffic.record_received(message.size)
         if message.kind == REQUEST_KIND:
             self._serve(message.sender, message.payload)
         elif message.kind == REPLY_KIND:
@@ -389,9 +389,7 @@ class RpcAgent:
             self._reply_ok(caller, request, process.result())
 
     def _send_reply(self, caller: str, reply: RpcReply) -> None:
-        if self._nic.send(caller, REPLY_KIND, reply) is not None \
-                and self._traffic is not None:
-            self._traffic.record_sent(reply)
+        self._send(caller, REPLY_KIND, reply)
 
     def _reply_ok(self, caller: str, request: RpcRequest, value: Any) -> None:
         if not self._nic.up:

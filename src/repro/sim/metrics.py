@@ -138,45 +138,87 @@ def wire_size(payload: Any) -> int:
     return len(repr(payload))
 
 
+# How estimate_size charges a payload, by its type: a fixed cost, the
+# length of a string or bytes, a walk over a container, dict or
+# dataclass, or the exact formatter.  The classification depends on the
+# type alone, so it is made once per type and cached.
+_FIXED, _STR, _BYTES, _ITEMS, _DICT, _FIELDS, _REPR = range(7)
+
+_KINDS: dict[type, tuple[int, Any]] = {}
+
+
+def _classify(cls: type) -> tuple[int, Any]:
+    """The charging rule for instances of ``cls``, in the order of the
+    structural checks the rule stands for (``bool`` before ``int``,
+    ``str`` before any container, dataclasses last)."""
+    if cls is type(None) or issubclass(cls, bool):
+        return _FIXED, 4
+    if issubclass(cls, (int, float)):
+        return _FIXED, 8
+    if issubclass(cls, str):
+        return _STR, None
+    if issubclass(cls, (bytes, bytearray)):
+        return _BYTES, None
+    if issubclass(cls, (list, tuple, set, frozenset)):
+        return _ITEMS, None
+    if issubclass(cls, dict):
+        return _DICT, None
+    fields = getattr(cls, "__dataclass_fields__", None)
+    if fields is not None:
+        return _FIELDS, tuple(fields)
+    return _REPR, None
+
+
 def estimate_size(payload: Any, depth: int = 4) -> int:
     """A cheap, repr-free estimate of a payload's wire size.
 
     ``wire_size`` formats the whole payload (``len(repr(...))``) on
     every recorded message -- a measured hot-path cost at 10^5+ offered
     ops.  This walks the payload structurally instead: fixed costs for
-    scalars, lengths for strings/bytes, shallow depth-bounded recursion
-    for containers and dataclasses.  Still deterministic (no ids or
-    hashes), still proportional to payload volume, but never formats a
-    character.  Beyond ``depth`` a container is charged a flat per-item
-    cost, which keeps one record O(small) no matter how deep the
-    payload nests.
+    scalars (4 for ``None`` and ``bool``, 8 for other numbers), lengths
+    for strings (plus 2) and bytes, and shallow depth-bounded recursion
+    (8 plus the items) for containers, dicts and dataclasses.  Still
+    deterministic (no ids or hashes), still proportional to payload
+    volume, but never formats a character.  Beyond ``depth`` a
+    container is charged a flat per-item cost, which keeps one record
+    O(small) no matter how deep the payload nests.  The rule for each
+    payload type is looked up in a per-type cache rather than through a
+    chain of ``isinstance`` tests.
     """
-    if payload is None or isinstance(payload, bool):
-        return 4
-    if isinstance(payload, (int, float)):
-        return 8
-    if isinstance(payload, str):
+    cls = type(payload)
+    kind = _KINDS.get(cls)
+    if kind is None:
+        kind = _KINDS[cls] = _classify(cls)
+    code, detail = kind
+    if code == _FIXED:
+        return detail
+    if code == _STR:
         return 2 + len(payload)
-    if isinstance(payload, (bytes, bytearray)):
+    if code == _BYTES:
         return len(payload)
-    if isinstance(payload, (list, tuple, set, frozenset)):
+    if code == _ITEMS:
         if depth <= 0:
             return 8 + 8 * len(payload)
-        return 8 + sum(estimate_size(item, depth - 1) for item in payload)
-    if isinstance(payload, dict):
+        depth -= 1
+        return 8 + sum([estimate_size(item, depth) for item in payload])
+    if code == _DICT:
         if depth <= 0:
             return 8 + 16 * len(payload)
-        return 8 + sum(estimate_size(key, depth - 1)
-                       + estimate_size(value, depth - 1)
-                       for key, value in payload.items())
-    fields = getattr(payload, "__dataclass_fields__", None)
-    if fields is not None:
-        if depth <= 0:
-            return 8 + 8 * len(fields)
-        return 8 + sum(estimate_size(getattr(payload, name), depth - 1)
-                       for name in fields)
-    # Rare non-structured payload: fall back to the exact formatter.
-    return wire_size(payload)
+        depth -= 1
+        return 8 + sum([estimate_size(key, depth) + estimate_size(value, depth)
+                        for key, value in payload.items()])
+    if code == _REPR:
+        detail = getattr(payload, "__dataclass_fields__", None)
+        if detail is None:
+            # Rare non-structured payload: fall back to the exact formatter.
+            return wire_size(payload)
+        # Fields found on this object but not on its type: a dataclass
+        # *class* sent as a payload.
+    if depth <= 0:
+        return 8 + 8 * len(detail)
+    depth -= 1
+    return 8 + sum([estimate_size(getattr(payload, name), depth)
+                    for name in detail])
 
 
 class PlaneTraffic:
@@ -193,10 +235,12 @@ class PlaneTraffic:
     truth for what rode each NIC.
 
     The rpc/mcast message counts are exact.  Byte volume is metered
-    with :func:`estimate_size` (structural walk, no ``repr``) -- the
-    per-message formatting cost was measurable at 10^5 offered ops --
-    and the six counters are resolved once at construction instead of
-    through a registry dict lookup per message.
+    with :func:`estimate_size` (structural walk, no ``repr``): callers
+    pass the message's size, which :attr:`repro.net.message.Message.size`
+    computes once, so the sender and the receiver of one message record
+    the same number from a single walk.  The six counters are resolved
+    once at construction instead of through a registry dict lookup per
+    message.
     """
 
     __slots__ = ("host", "plane", "_rpcs_out", "_rpcs_in", "_mcasts_out",
@@ -214,21 +258,21 @@ class PlaneTraffic:
         self._bytes_out = registry.counter(prefix + "bytes_out")
         self._bytes_in = registry.counter(prefix + "bytes_in")
 
-    def record_sent(self, payload: Any) -> None:
+    def record_sent(self, size: int) -> None:
         self._rpcs_out.value += 1
-        self._bytes_out.value += estimate_size(payload)
+        self._bytes_out.value += size
 
-    def record_received(self, payload: Any) -> None:
+    def record_received(self, size: int) -> None:
         self._rpcs_in.value += 1
-        self._bytes_in.value += estimate_size(payload)
+        self._bytes_in.value += size
 
-    def record_multicast_sent(self, payload: Any) -> None:
+    def record_multicast_sent(self, size: int) -> None:
         self._mcasts_out.value += 1
-        self._bytes_out.value += estimate_size(payload)
+        self._bytes_out.value += size
 
-    def record_multicast_received(self, payload: Any) -> None:
+    def record_multicast_received(self, size: int) -> None:
         self._mcasts_in.value += 1
-        self._bytes_in.value += estimate_size(payload)
+        self._bytes_in.value += size
 
     @property
     def mcasts_out(self) -> int:

@@ -47,7 +47,7 @@ def test_tracking_cleared_on_commit():
     system, client, uid = build_system(sv=("s1",), st=("t1",))
     system.run_transaction(client, add_work(uid, 1))
     host = system.nodes["s1"].rpc.service("servers")
-    assert host._action_clients == {}
+    assert host._actions == {}
 
 
 def test_client_recovering_does_not_resurrect_action():

@@ -314,3 +314,34 @@ def test_unregister_clears_the_fence():
     b.register("calc", calc)
     f = a.call("b", "calc", "add", 2, 3, ring_epoch=0)
     assert s.run_until_settled(f) == 5
+
+
+def test_each_message_is_sized_once_and_metered_alike_at_both_ends(monkeypatch):
+    from repro.net import message as message_module
+    from repro.sim.metrics import MetricsRegistry, estimate_size
+
+    sized = []
+
+    def counting_estimate(payload, depth=4):
+        sized.append(payload)
+        return estimate_size(payload, depth)
+
+    monkeypatch.setattr(message_module, "estimate_size", counting_estimate)
+    registry = MetricsRegistry()
+    s = Scheduler()
+    net = Network(s, FixedLatency(0.01))
+    agents = {}
+    for name in ("a", "b"):
+        nic = net.attach(name)
+        agents[name] = RpcAgent(s, nic, demux=MessageDemux(nic),
+                                traffic=registry.plane_traffic(name, "client"))
+    agents["b"].register("calc", Calc())
+    future = agents["a"].call("b", "calc", "add", 2, 3)
+    s.run()
+    assert future.result() == 5
+    a = registry.plane_traffic("a", "client")
+    b = registry.plane_traffic("b", "client")
+    assert (a.rpcs_out, b.rpcs_in, b.rpcs_out, a.rpcs_in) == (1, 1, 1, 1)
+    assert len(sized) == 2  # the request and the reply, once each
+    assert a.bytes_out == b.bytes_in == estimate_size(sized[0])
+    assert b.bytes_out == a.bytes_in == estimate_size(sized[1])

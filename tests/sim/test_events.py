@@ -158,3 +158,22 @@ def test_cancel_after_compaction_is_harmless():
     assert q.compactions >= 1
     events[0].cancel()  # idempotent, already gone from the heap
     assert len(q) == 28
+
+
+def test_same_time_events_fire_in_seq_order_across_compaction():
+    """Ties on time are broken by ``seq`` alone, whatever the push order,
+    before and after a rebuild of the heap."""
+    q = EventQueue()
+    events = [make_event(5.0, seq) for seq in range(200)]
+    for event in reversed(events):
+        q.push(event)
+    assert q.pop() is events[0]
+    for event in events[1:180]:
+        if event.seq % 4:
+            event.cancel()
+    assert q.compactions >= 1
+    expected = [e for e in events[1:] if not e.cancelled]
+    popped = []
+    while q:
+        popped.append(q.pop())
+    assert popped == expected

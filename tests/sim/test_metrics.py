@@ -100,13 +100,13 @@ def test_wire_size_is_deterministic():
 def test_plane_traffic_counters_land_in_the_snapshot():
     from repro.sim.metrics import MetricsRegistry
     m = MetricsRegistry()
+    from repro.sim.metrics import estimate_size
     client = m.plane_traffic("alpha", "client")
     sync = m.plane_traffic("alpha", "sync")
-    client.record_sent("req")
-    client.record_received("rep")
-    sync.record_sent("probe")
+    client.record_sent(estimate_size("req"))
+    client.record_received(estimate_size("rep"))
+    sync.record_sent(estimate_size("probe"))
     snap = m.snapshot()
-    from repro.sim.metrics import estimate_size
     assert snap["traffic.alpha.client.rpcs_out"] == 1
     assert snap["traffic.alpha.client.rpcs_in"] == 1
     assert snap["traffic.alpha.sync.rpcs_out"] == 1
@@ -121,10 +121,9 @@ def test_plane_traffic_read_properties_track_counters():
     m = MetricsRegistry()
     t = m.plane_traffic("beta", "sync")
     assert (t.rpcs_out, t.rpcs_in) == (0, 0)
-    t.record_sent("x")
-    t.record_sent("y")
-    t.record_received("z")
+    t.record_sent(3)
+    t.record_sent(3)
+    t.record_received(5)
     assert (t.rpcs_out, t.rpcs_in) == (2, 1)
-    from repro.sim.metrics import estimate_size
-    assert t.bytes_out == 2 * estimate_size("x")
-    assert t.bytes_in == estimate_size("z")
+    assert t.bytes_out == 6
+    assert t.bytes_in == 5
