@@ -285,7 +285,8 @@ class ServerHost:
         return entry.servers if entry is not None else ()
 
     def _resolve(self, action_path: tuple[int, ...]) -> None:
-        """Forget a top-level action once it committed or aborted here.
+        """Forget a top-level action once it is finished here: committed,
+        aborted, or prepared read-only.
 
         A nested action's outcome leaves its tree's entry in place: the
         parent still owns (or inherits) what the tree holds here.
@@ -297,9 +298,12 @@ class ServerHost:
         path = tuple(action_path)
         servers = self._participants(path)
         if not any(server.wrote_under(path) for server in servers):
-            # Read-only optimisation: release read locks at prepare.
+            # Read-only optimisation: release read locks at prepare.  The
+            # coordinator sends no phase 2 after a read-only vote, so the
+            # action is finished here too.
             for server in servers:
                 server._release_tree(path)
+            self._resolve(path)
             return "readonly"
         return "ok"
 

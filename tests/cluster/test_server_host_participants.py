@@ -106,6 +106,8 @@ def test_read_only_prepare_releases_read_locks(twins):
     twins.step("invoke", (5,), UIDS[1], "get", (), client_node="c1")
     assert twins.step("prepare", (5,)) == ("ok", "readonly")
     assert all(locks == [] for _, _, locks, _ in _state(twins.indexed).values())
+    # No phase 2 follows a read-only vote: the action is finished here.
+    assert 5 not in twins.indexed._actions
     # A writer is no longer refused.
     twins.step("invoke", (6,), UIDS[0], "add", (1,), client_node="c1")
 

@@ -68,3 +68,14 @@ def test_client_recovering_does_not_resurrect_action():
     final = system.run_transaction(client, get_work(uid))
     # Only the committed +1 is visible; the orphaned +7 was rolled back.
     assert final.value == 101
+
+
+def test_read_only_action_is_not_probed_after_it_finished():
+    """A read-only vote ends the action at this host: the coordinator
+    sends no phase 2, so the janitor must not keep probing its client."""
+    system, client, uid = build_system(sv=("s1",), st=("t1",))
+    result = system.run_transaction(client, get_work(uid))
+    assert result.committed and result.value == 100
+    probes_before = system.nodes["c1"].rpc.calls_served
+    system.run(until=system.scheduler.now + 10.0)
+    assert system.nodes["c1"].rpc.calls_served == probes_before
