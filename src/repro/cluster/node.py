@@ -44,6 +44,7 @@ from repro.net.multicast import (
 )
 from repro.net.network import Network, NetworkInterface
 from repro.net.rpc import RpcAgent
+from repro.sim.futures import Future
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler
@@ -165,7 +166,9 @@ class Node:
         self.volatile = VolatileStore(name)
         self.uids = UidFactory(name)
         self.boot_hooks: list[BootHook] = []
-        self._processes: list[Process] = []
+        # Live processes in spawn order (an ordered set); each one
+        # drops out when it finishes.
+        self._processes: dict[Process, None] = {}
         self.crash_count = 0
         self.recover_count = 0
 
@@ -217,7 +220,7 @@ class Node:
         self.volatile.wipe()
         if self.object_store is not None:
             self.object_store.mark_down()
-        processes, self._processes = self._processes, []
+        processes, self._processes = self._processes, {}
         for process in processes:
             process.kill(f"node {self.name} crashed")
 
@@ -243,9 +246,12 @@ class Node:
     def spawn(self, body: Generator[Any, Any, Any], name: str = "") -> Process:
         """Spawn a process owned by this node (killed if the node crashes)."""
         process = self.scheduler.spawn(body, name=f"{self.name}:{name}")
-        self._processes.append(process)
-        self._processes = [p for p in self._processes if not p.done]
+        self._processes[process] = None
+        process.add_callback(self._forget_process)
         return process
+
+    def _forget_process(self, process: Future) -> None:
+        self._processes.pop(process, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self._crashed else "up"

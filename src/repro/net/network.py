@@ -245,7 +245,7 @@ class Network:
         if message.target not in self._interfaces:
             self.messages_dropped += 1
             return
-        if any(rule(message) for rule in self._drop_rules):
+        if self._drop_rules and any(rule(message) for rule in self._drop_rules):
             self.messages_dropped += 1
             self._tracer.record("net", "message force-dropped", msg_id=message.msg_id,
                                 kind=message.kind, target=message.target)

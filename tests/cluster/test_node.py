@@ -44,6 +44,39 @@ def test_crash_kills_node_processes():
     assert all(t < 2.5 for t in progress)
 
 
+def test_finished_processes_are_not_retained():
+    s, net, node = make_node()
+
+    def short(delay):
+        yield Timeout(delay)
+
+    for delay in (1.0, 2.0, 3.0):
+        node.spawn(short(delay))
+    s.run(until=1.5)
+    assert len(node._processes) == 2
+    s.run(until=5.0)
+    assert node._processes == {}
+
+
+def test_crash_kills_live_processes_in_spawn_order():
+    s, net, node = make_node()
+    killed = []
+
+    def body(label, delay):
+        try:
+            yield Timeout(delay)
+        except BaseException:
+            killed.append(label)
+            raise
+
+    for label, delay in (("a", 5.0), ("b", 1.0), ("c", 5.0), ("d", 5.0)):
+        node.spawn(body(label, delay))
+    s.schedule(2.0, node.crash)
+    s.run(until=10.0)
+    assert killed == ["a", "c", "d"]
+    assert node._processes == {}
+
+
 def test_crash_clears_rpc_services_recover_reruns_boot_hooks():
     s, net, node = make_node()
     installs = []

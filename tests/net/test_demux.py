@@ -39,3 +39,18 @@ def test_duplicate_route_rejected():
     demux.route("x.", lambda m: None)
     with pytest.raises(ValueError):
         demux.route("x.", lambda m: None)
+
+
+def test_a_route_added_later_takes_over_kinds_already_seen():
+    s = Scheduler()
+    net = Network(s, FixedLatency(0.0))
+    a, b = net.attach("a"), net.attach("b")
+    demux = MessageDemux(b)
+    got = []
+    demux.route("ginv.", lambda m: got.append(("group", m.kind)))
+    a.send("b", "ginv.reply", None)
+    s.run()
+    demux.route("ginv.reply", lambda m: got.append(("reply", m.kind)))
+    a.send("b", "ginv.reply", None)
+    s.run()
+    assert got == [("group", "ginv.reply"), ("reply", "ginv.reply")]
