@@ -16,6 +16,21 @@ from pathlib import Path
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 
+def _string_keys(value):
+    """``value`` with every dict key, at any depth, made a string.
+
+    ``json.dumps`` rejects non-string keys that are not scalars (a row
+    keyed by a ``(scheme, hosts)`` tuple killed the whole session), and
+    its ``default`` hook only sees values, never keys.
+    """
+    if isinstance(value, dict):
+        return {key if isinstance(key, str) else str(key): _string_keys(item)
+                for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_string_keys(item) for item in value]
+    return value
+
+
 def pytest_sessionfinish(session, exitstatus):
     from benchmarks.common import BENCH_RESULTS, BENCH_WALL_CLOCK
 
@@ -26,7 +41,7 @@ def pytest_sessionfinish(session, exitstatus):
         name = module[len("bench_"):] if module.startswith("bench_") else module
         payload = {
             "bench": module,
-            "results": results,
+            "results": _string_keys(results),
             # Real seconds per experiment: the regression gate holds
             # these to an absolute budget (see check_regression.py).
             "wall_clock_seconds": BENCH_WALL_CLOCK.get(module, {}),

@@ -155,8 +155,10 @@ class AtomicAction:
         self._records: list[AbstractRecord] = []
         self._tracer = tracer or NULL_TRACER
         self.commit_failures: list[tuple[AbstractRecord, BaseException]] = []
-        self._tracer.record("action", "begin", id=str(self.id),
-                            top_level=self.is_top_level, independent=independent)
+        if self._tracer.wants("action"):
+            self._tracer.record("action", "begin", id=str(self.id),
+                                top_level=self.is_top_level,
+                                independent=independent)
 
     # -- structure ----------------------------------------------------------
 
@@ -200,7 +202,8 @@ class AtomicAction:
             raise InvalidActionState(f"{self.id}: already {self.status.value}")
         yield from self._abort_records(self._records)
         self.status = ActionStatus.ABORTED
-        self._tracer.record("action", "aborted", id=str(self.id))
+        if self._tracer.wants("action"):
+            self._tracer.record("action", "aborted", id=str(self.id))
         return self.status
 
     def run_local(self, generator: Generator[Any, Any, Any]) -> Any:
@@ -302,8 +305,9 @@ class AtomicAction:
                                         record=type(record).__name__,
                                         error=type(exc).__name__)
         self.status = ActionStatus.COMMITTED
-        self._tracer.record("action", "committed", id=str(self.id),
-                            records=len(self._records))
+        if self._tracer.wants("action"):
+            self._tracer.record("action", "committed", id=str(self.id),
+                                records=len(self._records))
         return self.status
 
     def _commit_nested(self) -> Generator[Any, Any, ActionStatus]:
@@ -313,8 +317,10 @@ class AtomicAction:
         for record in self._records:
             record.merge_into_parent(self.parent)
         self.status = ActionStatus.COMMITTED
-        self._tracer.record("action", "nested commit", id=str(self.id),
-                            parent=str(self.parent.id), records=len(self._records))
+        if self._tracer.wants("action"):
+            self._tracer.record("action", "nested commit", id=str(self.id),
+                                parent=str(self.parent.id),
+                                records=len(self._records))
         return self.status
         yield  # pragma: no cover - kept a generator for interface symmetry
 

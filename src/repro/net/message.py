@@ -19,20 +19,22 @@ class Message:
     """An addressed datagram.
 
     The same object travels from the sender's interface to the
-    receiver's, so its metered :attr:`size` is computed at most once,
-    on first use, and both ends record the same number.
+    receiver's, so its metered :attr:`size` is computed at most once
+    and both ends record the same number.  A sender that already knows
+    the size (the RPC agent computes its envelopes by formula) passes
+    it in; otherwise it is computed on first use.
     """
 
     __slots__ = ("sender", "target", "kind", "payload", "msg_id", "_size")
 
     def __init__(self, sender: str, target: str, kind: str,
-                 payload: Any) -> None:
+                 payload: Any, size: int = -1) -> None:
         self.sender = sender
         self.target = target
         self.kind = kind
         self.payload = payload
         self.msg_id = next(_message_ids)
-        self._size = -1
+        self._size = size
 
     @property
     def size(self) -> int:

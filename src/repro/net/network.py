@@ -65,20 +65,19 @@ class NetworkInterface:
         self.sent_count = 0
         self.received_count = 0
 
-    def send(self, target: str, kind: str, payload: object) -> Message | None:
-        """Transmit a datagram; returns it, or ``None`` if we are down."""
+    def send(self, target: str, kind: str, payload: object,
+             size: int = -1) -> Message | None:
+        """Transmit a datagram; returns it, or ``None`` if we are down.
+
+        ``size``, when known, is the payload's metered size (see
+        :attr:`Message.size`); by default it is computed on first use.
+        """
         if not self.up:
             return None
-        message = Message(self.name, target, kind, payload)
+        message = Message(self.name, target, kind, payload, size)
         self.sent_count += 1
         self._network._transmit(message)
         return message
-
-    def _deliver(self, message: Message) -> None:
-        if not self.up or self.on_message is None:
-            return
-        self.received_count += 1
-        self.on_message(message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.up else "down"
@@ -288,7 +287,8 @@ class Network:
         if nic is None or not nic.up:
             self.messages_dropped += 1
             return
-        if not self.reachable(message.sender, message.target):
+        if (self._partition_groups is not None
+                and not self.reachable(message.sender, message.target)):
             self.messages_dropped += 1
             return
         if self._blocked and (
@@ -298,4 +298,7 @@ class Network:
             self.messages_blocked += 1
             return
         self.messages_delivered += 1
-        nic._deliver(message)
+        handler = nic.on_message
+        if handler is not None:
+            nic.received_count += 1
+            handler(message)

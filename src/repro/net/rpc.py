@@ -41,8 +41,9 @@ from repro.net.errors import (
 )
 from repro.net.message import Message
 from repro.net.network import NetworkInterface
+from repro.sim.events import Event
 from repro.sim.futures import Future
-from repro.sim.metrics import PlaneTraffic
+from repro.sim.metrics import PlaneTraffic, estimate_size
 from repro.sim.process import Process
 from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import NULL_TRACER, Tracer
@@ -92,6 +93,45 @@ class RpcReply:
     ring_epoch: int | None = None
 
 
+# Envelope sizes by formula.  ``estimate_size`` charges a dataclass 8
+# plus its fields; an ``int`` field 8, a ``bool`` or ``None`` 4, a
+# string 2 plus its length.  The agent adds those fixed costs up here
+# and walks only the variable part (``args`` or ``value``), so the size
+# it hands to the ``Message`` equals ``estimate_size`` of the whole
+# envelope without walking it.  Fixed part of a request: the
+# dataclass, ``request_id`` and the two string overheads; of a reply:
+# the same plus the ``ok`` flag.  An untagged ``ring_epoch`` (``None``)
+# costs 4.
+_REQUEST_FIXED = 8 + 8 + 2 + 2
+_REPLY_FIXED = 8 + 8 + 4 + 2 + 2
+
+
+def request_size(request: RpcRequest, depth: int = 4) -> int:
+    """``estimate_size(request, depth)`` by formula (``depth >= 1``).
+
+    A request sent alone sits at the default depth; one inside a
+    pipelined frame sits a level deeper (see :func:`frame_size`).
+    """
+    depth -= 1
+    epoch = request.ring_epoch
+    return (_REQUEST_FIXED + len(request.service) + len(request.method)
+            + estimate_size(request.args, depth)
+            + (4 if epoch is None else estimate_size(epoch, depth)))
+
+
+def reply_size(reply: RpcReply) -> int:
+    """``estimate_size(reply)`` by formula."""
+    epoch = reply.ring_epoch
+    return (_REPLY_FIXED + len(reply.error_type) + len(reply.error_message)
+            + estimate_size(reply.value, 3)
+            + (4 if epoch is None else estimate_size(epoch, 3)))
+
+
+def frame_size(requests: tuple[RpcRequest, ...]) -> int:
+    """``estimate_size(requests)`` of a pipelined frame, by formula."""
+    return 8 + sum([request_size(request, 3) for request in requests])
+
+
 class RpcAgent:
     """Per-node RPC endpoint: issues calls and dispatches to services."""
 
@@ -122,7 +162,9 @@ class RpcAgent:
         self._tracer = tracer or NULL_TRACER
         self._services: dict[str, object] = {}
         self._fences: dict[str, Callable[[], int]] = {}
-        self._pending: dict[int, Future] = {}
+        # Each pending call's future and its timeout event, so a reply
+        # (or a crash) cancels the timer directly.
+        self._pending: dict[int, tuple[Future, Event]] = {}
         # Connection-level pipelining: with ``pipeline=True``, requests
         # issued back to back (same virtual instant) to one target are
         # buffered and shipped as a single FRAME_KIND message -- they
@@ -189,7 +231,8 @@ class RpcAgent:
         volatile memory.
         """
         pending, self._pending = self._pending, {}
-        for future in pending.values():
+        for future, timer in pending.values():
+            timer.cancel()
             future.try_fail(RpcTimeout("local node crashed"))
         # Buffered pipeline frames die with the node: their requests'
         # futures were already failed through ``_pending`` above, and
@@ -225,7 +268,6 @@ class RpcAgent:
         self.calls_issued += 1
         request = RpcRequest(next(_request_ids), service, method, tuple(args),
                              ring_epoch=ring_epoch)
-        self._pending[request.request_id] = future
         if self.pipeline:
             outbox = self._outbox.get(target)
             if outbox is None:
@@ -235,10 +277,11 @@ class RpcAgent:
             else:
                 outbox.append(request)
         else:
-            self._send(target, REQUEST_KIND, request)
+            self._send(target, REQUEST_KIND, request, request_size)
         deadline = timeout if timeout is not None else self.default_timeout
-        timer = self._scheduler.schedule(deadline, self._expire, request, target)
-        future.add_callback(lambda _f: timer.cancel())
+        self._pending[request.request_id] = (
+            future,
+            self._scheduler.schedule(deadline, self._expire, request, target))
         return future
 
     def _flush_frame(self, target: str, epoch: int) -> None:
@@ -258,20 +301,31 @@ class RpcAgent:
         if len(requests) == 1:
             # No peer in the frame: ship the plain request so single
             # calls look identical on the wire with pipelining on.
-            self._send(target, REQUEST_KIND, requests[0])
+            self._send(target, REQUEST_KIND, requests[0], request_size)
             return
         self.frames_sent += 1
-        self._send(target, FRAME_KIND, tuple(requests))
+        self._send(target, FRAME_KIND, tuple(requests), frame_size)
 
-    def _send(self, target: str, kind: str, payload: Any) -> None:
-        """Put one message on the wire and meter it if it left."""
-        message = self._nic.send(target, kind, payload)
-        if message is not None and self._traffic is not None:
-            self._traffic.record_sent(message.size)
+    def _send(self, target: str, kind: str, payload: Any,
+              sizer: Callable[[Any], int]) -> None:
+        """Put one message on the wire and meter it if it left.
+
+        ``sizer`` is the envelope's size formula; the message carries
+        its result, so the receiver meters the same number unwalked.
+        """
+        if self._traffic is None:
+            self._nic.send(target, kind, payload)
+            return
+        size = sizer(payload)
+        if self._nic.send(target, kind, payload, size) is not None:
+            self._traffic.record_sent(size)
 
     def _expire(self, request: RpcRequest, target: str) -> None:
-        future = self._pending.pop(request.request_id, None)
-        if future is not None and not future.done:
+        entry = self._pending.pop(request.request_id, None)
+        if entry is None:
+            return
+        future = entry[0]
+        if not future.done:
             self._tracer.record("rpc", "call timed out", target=target,
                                 service=request.service, method=request.method)
             future.fail(RpcTimeout(
@@ -294,9 +348,13 @@ class RpcAgent:
                 self._serve(message.sender, request)
 
     def _complete(self, reply: RpcReply) -> None:
-        future = self._pending.pop(reply.request_id, None)
-        if future is None or future.done:
+        entry = self._pending.pop(reply.request_id, None)
+        if entry is None:
             return  # late reply to a call that already timed out
+        future, timer = entry
+        timer.cancel()
+        if future.done:
+            return
         if reply.ok:
             future.resolve(reply.value)
         elif reply.error_type == "StaleRingEpoch":
@@ -389,7 +447,7 @@ class RpcAgent:
             self._reply_ok(caller, request, process.result())
 
     def _send_reply(self, caller: str, reply: RpcReply) -> None:
-        self._send(caller, REPLY_KIND, reply)
+        self._send(caller, REPLY_KIND, reply, reply_size)
 
     def _reply_ok(self, caller: str, request: RpcRequest, value: Any) -> None:
         if not self._nic.up:

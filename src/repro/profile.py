@@ -19,7 +19,14 @@ Usage::
     python -m repro.profile commit_batching        # the batched plane
     python -m repro.profile commit_batching:off    # its baseline row
     python -m repro.profile sync_plane --lines 40
+    python -m repro.profile commit_batching --layers   # self time by package
     python -m repro.profile --list
+
+``--layers`` sums the profile's self time by ``repro.<package>`` (with
+``repro.sim.metrics``, the byte metering, listed apart from the rest of
+``repro.sim``), so a change to the hot path shows up as one layer's
+share moving.  Self time outside ``src/repro`` -- C builtins, the
+standard library -- is listed as ``(outside repro)``.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import importlib
+import os
 import pstats
 import sys
 from typing import Any, Callable
@@ -58,6 +66,40 @@ SCENARIOS: dict[str, Callable[[], Any]] = {
 }
 
 
+OUTSIDE = "(outside repro)"
+
+
+def layer_of(filename: str) -> str:
+    """The layer a profiled function's source file belongs to."""
+    path = filename.replace(os.sep, "/")
+    if "repro/sim/metrics.py" in path:
+        return "repro.sim.metrics"
+    _, found, rest = path.rpartition("/repro/")
+    if not found:
+        return OUTSIDE
+    package, slash, _ = rest.partition("/")
+    return f"repro.{package}" if slash else "repro"
+
+
+def layer_times(stats: pstats.Stats) -> dict[str, float]:
+    """Self seconds per layer (see :func:`layer_of`), largest first."""
+    times: dict[str, float] = {}
+    raw = stats.stats  # type: ignore[attr-defined]
+    for (filename, _line, _name), (_, _, tottime, _, _) in raw.items():
+        layer = layer_of(filename)
+        times[layer] = times.get(layer, 0.0) + tottime
+    return dict(sorted(times.items(), key=lambda item: (-item[1], item[0])))
+
+
+def print_layers(stats: pstats.Stats) -> None:
+    times = layer_times(stats)
+    total = sum(times.values())
+    print(f"\n== self time by layer ({total:.3f} s) ==")
+    for layer, seconds in times.items():
+        share = seconds / total if total > 0 else 0.0
+        print(f"  {layer:22s} {seconds:9.3f} s  {share:6.1%}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.profile",
@@ -72,6 +114,9 @@ def main(argv: list[str] | None = None) -> int:
                         choices=["cumulative", "tottime", "ncalls"],
                         help="print a single table sorted this way instead "
                              "of the default cumulative+tottime pair")
+    parser.add_argument("--layers", action="store_true",
+                        help="print self time summed by repro package "
+                             "instead of the per-function tables")
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="also dump raw pstats data to FILE "
                              "(for snakeviz/pstats tooling)")
@@ -93,10 +138,13 @@ def main(argv: list[str] | None = None) -> int:
         profiler.dump_stats(args.out)
 
     stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.strip_dirs()
-    for sort in ([args.sort] if args.sort else ["cumulative", "tottime"]):
-        print(f"\n== top {args.lines} by {sort} ==")
-        stats.sort_stats(sort).print_stats(args.lines)
+    if args.layers:
+        print_layers(stats)
+    else:
+        stats.strip_dirs()
+        for sort in ([args.sort] if args.sort else ["cumulative", "tottime"]):
+            print(f"\n== top {args.lines} by {sort} ==")
+            stats.sort_stats(sort).print_stats(args.lines)
 
     if isinstance(result, dict):
         summary = {key: result[key] for key in

@@ -41,10 +41,14 @@ class Event:
         if self.cancelled:
             return
         self.cancelled = True
-        if self._queue is not None:
-            queue = self._queue
+        queue = self._queue
+        if queue is not None:
             self._queue = None
-            queue._note_cancelled()
+            queue._live -= 1
+            heap = queue._heap
+            if (len(heap) >= queue.COMPACT_MIN_SIZE
+                    and queue._live * 2 < len(heap)):
+                queue._compact()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
@@ -74,12 +78,6 @@ class EventQueue:
         # more dead entries than live ones.
         self._live = 0
         self.compactions = 0
-
-    def _note_cancelled(self) -> None:
-        self._live -= 1
-        if (len(self._heap) >= self.COMPACT_MIN_SIZE
-                and self._live * 2 < len(self._heap)):
-            self._compact()
 
     def _compact(self) -> None:
         """Rebuild the heap from its live events, dropping tombstones.

@@ -27,9 +27,14 @@ class Future:
     future settles (or immediately if it has already settled).  Exceptions
     stored via :meth:`fail` are re-raised by :meth:`result` and are thrown
     into any waiting process.
+
+    :attr:`done` is a plain attribute, set when the future settles: the
+    scheduler's loop and every RPC completion read it, and a property
+    there cost a call each time.  Treat it as read-only.
     """
 
-    __slots__ = ("_state", "_value", "_exception", "_callbacks", "label")
+    __slots__ = ("_state", "_value", "_exception", "_callbacks", "label",
+                 "done")
 
     def __init__(self, label: str = "") -> None:
         self._state = FutureState.PENDING
@@ -39,6 +44,7 @@ class Future:
         # exactly one waiter or none, so the list is built on demand.
         self._callbacks: list[Callable[["Future"], None]] | None = None
         self.label = label
+        self.done = False
 
     @property
     def state(self) -> FutureState:
@@ -46,11 +52,7 @@ class Future:
 
     @property
     def pending(self) -> bool:
-        return self._state is FutureState.PENDING
-
-    @property
-    def done(self) -> bool:
-        return self._state is not FutureState.PENDING
+        return not self.done
 
     @property
     def failed(self) -> bool:
@@ -61,6 +63,7 @@ class Future:
         if self.done:
             raise RuntimeError(f"future {self.label!r} already settled")
         self._state = FutureState.RESOLVED
+        self.done = True
         self._value = value
         self._run_callbacks()
 
@@ -69,6 +72,7 @@ class Future:
         if self.done:
             raise RuntimeError(f"future {self.label!r} already settled")
         self._state = FutureState.FAILED
+        self.done = True
         self._exception = exception
         self._run_callbacks()
 

@@ -199,14 +199,13 @@ def estimate_size(payload: Any, depth: int = 4) -> int:
     if code == _ITEMS:
         if depth <= 0:
             return 8 + 8 * len(payload)
-        depth -= 1
-        return 8 + sum([estimate_size(item, depth) for item in payload])
+        return 8 + _items_size(payload, depth - 1)
     if code == _DICT:
         if depth <= 0:
             return 8 + 16 * len(payload)
         depth -= 1
-        return 8 + sum([estimate_size(key, depth) + estimate_size(value, depth)
-                        for key, value in payload.items()])
+        return (8 + _items_size(payload.keys(), depth)
+                + _items_size(payload.values(), depth))
     if code == _REPR:
         detail = getattr(payload, "__dataclass_fields__", None)
         if detail is None:
@@ -216,9 +215,34 @@ def estimate_size(payload: Any, depth: int = 4) -> int:
         # *class* sent as a payload.
     if depth <= 0:
         return 8 + 8 * len(detail)
-    depth -= 1
-    return 8 + sum([estimate_size(getattr(payload, name), depth)
-                    for name in detail])
+    return 8 + _items_size([getattr(payload, name) for name in detail],
+                           depth - 1)
+
+
+def _items_size(items: Any, depth: int) -> int:
+    """The summed :func:`estimate_size` of ``items``, each at ``depth``.
+
+    Exact-type ``str``, ``int``, ``float``, ``None`` and ``bool`` items
+    -- most leaves of an RPC payload -- are charged inline, without a
+    recursive call; anything else (subclasses included, so an
+    ``IntEnum`` or a ``str`` subclass takes its cached rule) recurses.
+    """
+    total = 0
+    for item in items:
+        cls = type(item)
+        if cls is str:
+            total += 2 + len(item)
+        elif cls is int or cls is float:
+            total += 8
+        elif item is None or cls is bool:
+            total += 4
+        elif cls is tuple and depth > 0:
+            # The commonest container item (argument tuples of batched
+            # calls): walked here, sparing a dispatch.
+            total += 8 + _items_size(item, depth - 1)
+        else:
+            total += estimate_size(item, depth)
+    return total
 
 
 class PlaneTraffic:

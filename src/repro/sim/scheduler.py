@@ -8,6 +8,7 @@ scheduling order.
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Callable, Generator
 
 from repro.sim.errors import SimulationLimitExceeded
@@ -40,7 +41,19 @@ class Scheduler:
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` time units from now."""
-        return self.schedule_at(self._now + delay, fn, *args)
+        # schedule_at and EventQueue.push inlined: this is the
+        # most-called method of the simulator (every message, timer and
+        # process step).
+        time = self._now + delay
+        if time < self._now:
+            raise ValueError(f"cannot schedule in the past: {time} < {self._now}")
+        self._seq = seq = self._seq + 1
+        event = Event(time, seq, fn, args)
+        queue = self._queue
+        heapq.heappush(queue._heap, (time, seq, event))
+        event._queue = queue
+        queue._live += 1
+        return event
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute virtual time."""
@@ -69,36 +82,42 @@ class Scheduler:
 
     # -- running -------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Fire the next event.  Return ``False`` if the queue was empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        self._now = event.time
-        self._events_fired += 1
-        event.fn(*event.args)
-        return True
-
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Run until the queue drains, ``until`` is reached, or budget spent.
 
         Returns the virtual time at which the run stopped.  Exceeding
         ``max_events`` raises :class:`SimulationLimitExceeded` because it
         almost always indicates a livelock in the simulated protocols.
+
+        Events are popped and fired in this one loop (the work of
+        :meth:`EventQueue.pop`, inlined).  The heap is re-read every
+        iteration: a fired event may cancel others and make the queue
+        compact, which replaces its heap list.
         """
+        queue = self._queue
+        heappop = heapq.heappop
         fired = 0
         while True:
-            next_time = self._queue.peek_time()
-            if next_time is None:
+            heap = queue._heap
+            if not heap:
                 break
-            if until is not None and next_time > until:
+            time, _, event = heap[0]
+            if event.cancelled:
+                heappop(heap)
+                continue
+            if until is not None and time > until:
                 self._now = until
                 break
             if max_events is not None and fired >= max_events:
                 raise SimulationLimitExceeded(
                     f"exceeded {max_events} events at t={self._now:.3f}"
                 )
-            self.step()
+            heappop(heap)
+            event._queue = None  # fired: a late cancel() is a no-op
+            queue._live -= 1
+            self._now = time
+            self._events_fired += 1
+            event.fn(*event.args)
             fired += 1
         return self._now
 
@@ -111,6 +130,8 @@ class Scheduler:
         simulated system deadlocked waiting for something that can never
         happen.
         """
+        queue = self._queue
+        heappop = heapq.heappop
         fired = 0
         while not future.done:
             if until is not None and self._now >= until:
@@ -119,9 +140,21 @@ class Scheduler:
                 raise SimulationLimitExceeded(
                     f"exceeded {max_events} events waiting for {future.label!r}"
                 )
-            if not self.step():
+            # One pop per fired event, as in run(); the heap is re-read
+            # each time because a compaction replaces it.
+            heap = queue._heap
+            while heap:
+                time, _, event = heappop(heap)
+                if not event.cancelled:
+                    break
+            else:
                 raise RuntimeError(
                     f"event queue drained with future {future.label!r} still pending"
                 )
+            event._queue = None
+            queue._live -= 1
+            self._now = time
+            self._events_fired += 1
+            event.fn(*event.args)
             fired += 1
         return future.result()

@@ -45,6 +45,14 @@ class Tracer:
         """Attach the virtual clock used to timestamp records."""
         self._clock = clock
 
+    def wants(self, category: str) -> bool:
+        """Whether :meth:`record` keeps records of ``category``.
+
+        Hot callers check it first so that a dropped record costs no
+        argument formatting (``NULL_TRACER`` wants nothing).
+        """
+        return self._categories is None or category in self._categories
+
     def record(self, category: str, message: str, **data: Any) -> None:
         if self._categories is not None and category not in self._categories:
             return

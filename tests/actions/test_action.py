@@ -260,3 +260,45 @@ def test_callback_record_defaults_to_readonly_without_callbacks():
 def test_run_local_helper():
     action = AtomicAction()
     assert action.run_local(action.commit()) is ActionStatus.COMMITTED
+
+
+def _run_nested_and_top_level(tracer):
+    top = AtomicAction(tracer=tracer)
+    child = AtomicAction(parent=top, tracer=tracer)
+    child.run_local(child.commit())
+    top.run_local(top.commit())
+    doomed = AtomicAction(tracer=tracer)
+    doomed.run_local(doomed.abort())
+    return top, child, doomed
+
+
+def test_action_traces_are_kept_in_full_when_the_category_is_wanted():
+    from repro.sim.tracing import Tracer
+
+    tracer = Tracer(categories={"action"})
+    top, child, doomed = _run_nested_and_top_level(tracer)
+    assert [(e.message, e.data) for e in tracer.events] == [
+        ("begin", {"id": str(top.id), "top_level": True,
+                   "independent": False}),
+        ("begin", {"id": str(child.id), "top_level": False,
+                   "independent": False}),
+        ("nested commit", {"id": str(child.id), "parent": str(top.id),
+                           "records": 0}),
+        ("committed", {"id": str(top.id), "records": 0}),
+        ("begin", {"id": str(doomed.id), "top_level": True,
+                   "independent": False}),
+        ("aborted", {"id": str(doomed.id)}),
+    ]
+
+
+def test_unwanted_action_traces_format_nothing(monkeypatch):
+    from repro.sim.tracing import NULL_TRACER, Tracer
+
+    formatted = []
+    original = ActionId.__str__
+    monkeypatch.setattr(ActionId, "__str__",
+                        lambda self: formatted.append(self) or original(self))
+    for tracer in (NULL_TRACER, Tracer(categories={"rpc"})):
+        _run_nested_and_top_level(tracer)
+        assert tracer.events == []
+    assert formatted == []

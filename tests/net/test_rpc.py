@@ -316,20 +316,18 @@ def test_unregister_clears_the_fence():
     assert s.run_until_settled(f) == 5
 
 
-def test_each_message_is_sized_once_and_metered_alike_at_both_ends(monkeypatch):
-    from repro.net import message as message_module
+def test_each_message_is_sized_once_and_metered_alike_at_both_ends():
     from repro.sim.metrics import MetricsRegistry, estimate_size
 
-    sized = []
-
-    def counting_estimate(payload, depth=4):
-        sized.append(payload)
-        return estimate_size(payload, depth)
-
-    monkeypatch.setattr(message_module, "estimate_size", counting_estimate)
     registry = MetricsRegistry()
     s = Scheduler()
     net = Network(s, FixedLatency(0.01))
+    # Capture every message as it goes on the wire, with the size it
+    # already carried at that moment (-1 would mean "not sized yet"):
+    # the sender fixed it, so the receiver reads the same number
+    # instead of walking the payload again.
+    wire = []
+    net.add_drop_rule(lambda m: wire.append((m, m._size)) and False)
     agents = {}
     for name in ("a", "b"):
         nic = net.attach(name)
@@ -342,6 +340,60 @@ def test_each_message_is_sized_once_and_metered_alike_at_both_ends(monkeypatch):
     a = registry.plane_traffic("a", "client")
     b = registry.plane_traffic("b", "client")
     assert (a.rpcs_out, b.rpcs_in, b.rpcs_out, a.rpcs_in) == (1, 1, 1, 1)
-    assert len(sized) == 2  # the request and the reply, once each
-    assert a.bytes_out == b.bytes_in == estimate_size(sized[0])
-    assert b.bytes_out == a.bytes_in == estimate_size(sized[1])
+    assert len(wire) == 2  # the request and the reply, one size each
+    (request, request_size), (reply, reply_size) = wire
+    assert request.size == request_size == estimate_size(request.payload)
+    assert reply.size == reply_size == estimate_size(reply.payload)
+    assert a.bytes_out == b.bytes_in == estimate_size(request.payload)
+    assert b.bytes_out == a.bytes_in == estimate_size(reply.payload)
+
+
+# -- timeout timers ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pipeline", [False, True])
+def test_a_settled_call_leaves_no_live_timeout_event(pipeline):
+    s, _, a, b = make_pair(pipeline=pipeline)
+    b.register("calc", Calc())
+    f = a.call("b", "calc", "add", 1, 2, timeout=5.0)
+    assert s.run_until_settled(f) == 3
+    fired, settled_at = s.events_fired, s.now
+    # Nothing is left to fire: the timer was cancelled, not left to
+    # expire at t=5.
+    assert s.run() == settled_at
+    assert s.events_fired == fired
+
+
+def test_reset_cancels_the_timers_of_pending_calls():
+    s, _, a, b = make_pair()
+    b.register("calc", Calc())
+    calls = [a.call("b", "calc", "add", i, i, timeout=5.0) for i in range(3)]
+    a.reset()
+    assert all(isinstance(f.exception(), RpcTimeout) for f in calls)
+    # Only the requests and b's replies are delivered; no timer is left
+    # to fire at t=5.
+    assert s.run() < 5.0
+
+
+def test_a_reply_after_its_timeout_is_ignored_and_still_metered():
+    from repro.sim.metrics import MetricsRegistry
+
+    registry = MetricsRegistry()
+    s = Scheduler()
+    net = Network(s, FixedLatency(0.1))
+    agents = {}
+    for name in ("a", "b"):
+        nic = net.attach(name)
+        agents[name] = RpcAgent(s, nic, demux=MessageDemux(nic),
+                                traffic=registry.plane_traffic(name, "client"))
+    calc = Calc()
+    agents["b"].service_time = 0.5
+    agents["b"].register("calc", calc)
+    f = agents["a"].call("b", "calc", "add", 1, 2, timeout=0.2)
+    with pytest.raises(RpcTimeout):
+        s.run_until_settled(f)
+    s.run()  # the reply lands at t=0.7, after the timeout at t=0.2
+    assert calc.calls == 1
+    assert isinstance(f.exception(), RpcTimeout)
+    # The late reply was received (and metered) but settled nothing.
+    assert registry.plane_traffic("a", "client").rpcs_in == 1

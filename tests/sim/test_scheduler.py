@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Scheduler, SimulationLimitExceeded
+from repro.sim import Future, Scheduler, SimulationLimitExceeded
 
 
 def test_clock_starts_at_zero():
@@ -120,3 +120,43 @@ def test_run_until_settled_raises_on_drained_queue():
     never = Future("never")
     with pytest.raises(RuntimeError, match="drained"):
         s.run_until_settled(never)
+
+
+def _cancel_most_then_schedule(s, fired):
+    """At t=1, cancel enough timers to compact the heap, then schedule
+    one more event; the loop must see the rebuilt heap."""
+    timers = [s.schedule(10.0 + i, fired.append, ("timer", i))
+              for i in range(100)]
+
+    def cancel_most():
+        fired.append("cancel")
+        for timer in timers[:90]:
+            timer.cancel()
+        s.schedule(1.0, fired.append, "late")
+
+    s.schedule(1.0, cancel_most)
+    return timers
+
+
+def test_run_fires_from_the_heap_a_compaction_rebuilt():
+    s = Scheduler()
+    fired = []
+    _cancel_most_then_schedule(s, fired)
+    assert s.run() == 109.0
+    assert s._queue.compactions >= 1
+    assert fired == ["cancel", "late"] + [("timer", i) for i in range(90, 100)]
+    assert s.events_fired == 12
+    assert len(s._queue) == 0
+
+
+def test_run_until_settled_fires_from_the_heap_a_compaction_rebuilt():
+    s = Scheduler()
+    fired = []
+    timers = _cancel_most_then_schedule(s, fired)
+    waited = Future("wait")
+    timers[90].fn = lambda _arg: waited.resolve("done")
+    assert s.run_until_settled(waited) == "done"
+    assert s._queue.compactions >= 1
+    assert fired == ["cancel", "late"]
+    assert s.now == 100.0
+    assert len(s._queue) == 9

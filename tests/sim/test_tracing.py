@@ -52,3 +52,12 @@ def test_str_rendering():
     tracer.record("cat", "message", k=1)
     text = str(tracer.events[0])
     assert "cat" in text and "message" in text and "k" in text
+
+
+def test_wants_follows_the_category_filter():
+    from repro.sim.tracing import NULL_TRACER
+
+    assert Tracer().wants("anything")
+    assert Tracer(categories={"keep"}).wants("keep")
+    assert not Tracer(categories={"keep"}).wants("drop")
+    assert not NULL_TRACER.wants("action")
