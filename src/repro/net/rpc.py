@@ -261,13 +261,13 @@ class RpcAgent:
         # A static label: the f-string interpolation here was a
         # measurable per-call allocation at 10^5+ offered ops, and the
         # timeout error message below already names the full endpoint.
-        future = Future(label=method)
+        future = Future(method)
         if not self._nic.up:
             future.fail(RpcTimeout("local node is down"))
             return future
         self.calls_issued += 1
-        request = RpcRequest(next(_request_ids), service, method, tuple(args),
-                             ring_epoch=ring_epoch)
+        request = RpcRequest(next(_request_ids), service, method, args,
+                             ring_epoch)
         if self.pipeline:
             outbox = self._outbox.get(target)
             if outbox is None:

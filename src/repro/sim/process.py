@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Generator, TYPE_CHECKING
 
 from repro.sim.errors import ProcessKilled
-from repro.sim.futures import Future
+from repro.sim.futures import Future, FutureState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.scheduler import Scheduler
@@ -109,14 +109,15 @@ class Process(Future):
         self._handle_yield(yielded)
 
     def _handle_yield(self, yielded: Any) -> None:
+        # Futures first: nearly every yield waits on an RPC reply.
+        if isinstance(yielded, Future):
+            self._waiting_on = yielded
+            yielded.add_callback(self._wake_from_future)
+            return
         if isinstance(yielded, (int, float)):
             yielded = Timeout(float(yielded))
         if isinstance(yielded, Timeout):
             self._sleep_event = self._scheduler.schedule(yielded.delay, self._wake_from_sleep)
-            return
-        if isinstance(yielded, Future):
-            self._waiting_on = yielded
-            yielded.add_callback(self._wake_from_future)
             return
         self.try_fail(TypeError(f"process {self.name!r} yielded unsupported value {yielded!r}"))
 
@@ -128,10 +129,11 @@ class Process(Future):
         if self._waiting_on is not fut or self.done:
             return  # stale wake-up (e.g. the process was killed meanwhile)
         self._waiting_on = None
-        if fut.failed:
-            self._step_throw(fut.exception())  # type: ignore[arg-type]
+        # The settled future's fields, read directly: one wake per RPC.
+        if fut._state is FutureState.FAILED:
+            self._step_throw(fut._exception)  # type: ignore[arg-type]
         else:
-            self._step_send(fut.result())
+            self._step_send(fut._value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name!r} {self.state.value}>"
