@@ -241,7 +241,8 @@ class Network:
 
     def _transmit(self, message: Message) -> None:
         self.messages_sent += 1
-        if message.target not in self._interfaces:
+        target_nic = self._interfaces.get(message.target)
+        if target_nic is None:
             self.messages_dropped += 1
             return
         if self._drop_rules and any(rule(message) for rule in self._drop_rules):
@@ -256,7 +257,6 @@ class Network:
         # traffic into a host's replication NIC takes the sync plane's
         # latency even from a single-NIC sender), then the sender's,
         # then the network default.  Same order for the throttle.
-        target_nic = self._interfaces[message.target]
         sender_nic = self._interfaces.get(message.sender)
         model = target_nic.latency or (
             sender_nic.latency if sender_nic is not None else None

@@ -398,14 +398,14 @@ class RpcAgent:
                                     method=request.method,
                                     request_epoch=request.ring_epoch,
                                     server_epoch=current)
-                self._send_reply(caller, RpcReply(
+                self._send(caller, REPLY_KIND, RpcReply(
                     request.request_id, False,
                     error_type="StaleRingEpoch",
                     error_message=(
                         f"{request.service}.{request.method}: request "
                         f"epoch {request.ring_epoch} != server epoch "
                         f"{current}"),
-                    ring_epoch=current))
+                    ring_epoch=current), reply_size)
                 return
         # Fenced requests are rejected pre-dispatch and deliberately not
         # counted as served.
@@ -446,22 +446,20 @@ class RpcAgent:
         else:
             self._reply_ok(caller, request, process.result())
 
-    def _send_reply(self, caller: str, reply: RpcReply) -> None:
-        self._send(caller, REPLY_KIND, reply, reply_size)
-
     def _reply_ok(self, caller: str, request: RpcRequest, value: Any) -> None:
         if not self._nic.up:
             return
-        self._send_reply(caller, RpcReply(request.request_id, True, value))
+        self._send(caller, REPLY_KIND,
+                   RpcReply(request.request_id, True, value), reply_size)
 
     def _reply_error(self, caller: str, request: RpcRequest, exc: Exception) -> None:
         if not self._nic.up:
             return
         self._tracer.record("rpc", "handler raised", service=request.service,
                             method=request.method, error=type(exc).__name__)
-        self._send_reply(caller, RpcReply(
+        self._send(caller, REPLY_KIND, RpcReply(
             request.request_id, False,
-            error_type=type(exc).__name__, error_message=str(exc)))
+            error_type=type(exc).__name__, error_message=str(exc)), reply_size)
 
 
 def _is_generator(value: Any) -> bool:
