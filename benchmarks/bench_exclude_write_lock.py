@@ -86,7 +86,8 @@ def run_trial(use_exclude_write: bool, n_readers: int, seed: int = 7):
     result = system.run_transaction(writer, writing)
     for process in reader_processes:
         system.run_until(process)
-    refusals = system.db.state_db.locks.promotion_refusals
+    name_db = system.db.shards[system.name_node.name]
+    refusals = name_db.state_db.locks.promotion_refusals
     return result, refusals
 
 

@@ -39,14 +39,15 @@ def run_sequential(scheme: str, clients: int, txns_each: int = 4,
             latencies.append(result.duration)
 
     scheme_name = runtimes[0].scheme.name
+    name_db = system.db.shards[system.name_node.name]
     return {
         "committed": committed,
         "offered": clients * txns_each,
         "wasted_binds": system.metrics.counter_value(
             f"binding.{scheme_name}.failed_attempts"),
         "db_write_locks": (
-            system.db.metrics.counter_value("server_db.locks.write")
-            + system.db.metrics.counter_value("server_db.locks.exclude_write")),
+            name_db.metrics.counter_value("server_db.locks.write")
+            + name_db.metrics.counter_value("server_db.locks.exclude_write")),
         "mean_latency": sum(latencies) / len(latencies),
     }
 

@@ -123,8 +123,8 @@ def test_fig7_binding_contention_resolved_by_retry(benchmark):
             binding_scheme="independent", enable_recovery_managers=False)
         report = run_workload(system, runtimes, uid, txns_per_client=3,
                               mean_think_time=0.3, max_attempts=10)
-        refusals = (system.db.server_db.locks.refusals
-                    + system.db.server_db.locks.promotion_refusals)
+        locks = system.db.shards[system.name_node.name].server_db.locks
+        refusals = locks.refusals + locks.promotion_refusals
         return report.commit_rate, report.retries, refusals
 
     commit_rate, retries, refusals = once(benchmark, experiment)

@@ -46,9 +46,10 @@ def run_scheme(scheme_name, clients=6, seed=5):
 
     failed_attempts = system.metrics.counter_value(
         f"binding.{system.clients['c0'].scheme.name}.failed_attempts")
+    name_db = system.db.shards[system.name_node.name]
     write_locks = (
-        system.db.metrics.counter_value("server_db.locks.write")
-        + system.db.metrics.counter_value("server_db.locks.exclude_write"))
+        name_db.metrics.counter_value("server_db.locks.write")
+        + name_db.metrics.counter_value("server_db.locks.exclude_write"))
     sv_now = system.db_sv(uid)
     return {
         "committed": committed,

@@ -44,8 +44,8 @@ from repro.cluster.node import Node
 from repro.cluster.server_host import SERVER_SERVICE
 from repro.core.objects import ObjectClassRegistry
 from repro.naming.binding import BindFailed, BindingScheme, NestedTopLevelBinding
-from repro.naming.db_client import GroupViewDbClient
 from repro.naming.errors import NamingError
+from repro.naming.sharded_client import ShardedGroupViewDbClient
 from repro.net.errors import RpcError
 from repro.replication.policy import PolicyBinding, ReplicationPolicy, TxnContext
 from repro.sim.process import Process
@@ -195,13 +195,12 @@ class ClientRuntime:
     def __init__(
         self,
         node: Node,
-        db_node: str,
+        db_client: ShardedGroupViewDbClient,
         scheme: BindingScheme,
         policy: ReplicationPolicy,
         registry: ObjectClassRegistry,
         type_names: dict[Uid, str],
         tracer: Tracer | None = None,
-        db_client: Any | None = None,
     ) -> None:
         self.node = node
         self.policy = policy
@@ -212,11 +211,8 @@ class ClientRuntime:
         self._type_names = type_names
         self.tracer = tracer or NULL_TRACER
         self.metrics = node.metrics
-        # ``db_client`` overrides the default single-node adapter (the
-        # sharded deployment passes a ring-routing client instead).
         self._ctx = TxnContext(
-            node=node, rpc=node.rpc,
-            db=db_client or GroupViewDbClient(node.rpc, db_node),
+            node=node, rpc=node.rpc, db=db_client,
             scheme=scheme, invoker=GroupInvoker(node),
             registry=registry, metrics=node.metrics, tracer=self.tracer,
             node_policy=policy)

@@ -1,10 +1,11 @@
 """The whole-system harness.
 
 :class:`DistributedSystem` wires together everything the examples and
-benchmarks need: a scheduler, a network, a name node hosting the
-group-view database, store/server/client nodes, object creation with
-initial ``Sv``/``St`` placement, fault injection, and metric
-collection.  It is deterministic: the same :class:`SystemConfig` seed
+benchmarks need: a scheduler, a network, the name service (a ring of
+shard hosts serving the group-view database; the paper's deployment is
+the one-host ring ``namenode0``), store/server/client nodes, object
+creation with initial ``Sv``/``St`` placement, fault injection, and
+metric collection.  It is deterministic: the same :class:`SystemConfig` seed
 produces the same run.
 
 Typical use::
@@ -38,7 +39,6 @@ from repro.naming.binding import (
 )
 from repro.naming.cleanup import UseListCleaner
 from repro.naming.coherence import CoherenceHost
-from repro.naming.db_client import GroupViewDbClient
 from repro.naming.entry_cache import EntryCache
 from repro.naming.group_view_db import GroupViewDatabase
 from repro.naming.hybrid import HybridNameService
@@ -68,6 +68,8 @@ from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import NULL_TRACER, Tracer
 from repro.storage.uid import Uid, UidFactory
 
+# Shard hosts are named ``namenode0``, ``namenode1``, ...; the paper's
+# single name node is ``namenode0``.
 NAME_NODE = "namenode"
 
 SCHEME_FACTORIES: dict[str, Callable[..., BindingScheme]] = {
@@ -91,7 +93,7 @@ class SystemConfig:
     use_exclude_write_lock: bool = True
     binding_scheme: str = "standard"
     nonatomic_name_server: bool = False      # section-5 variant (E6)
-    nameserver_shards: int = 1               # >1 -> consistent-hash ring
+    nameserver_shards: int = 1               # hosts on the name-service ring
     nameserver_replication: int = 1          # >1 -> replicate each ring arc
     nameserver_read_policy: str = "primary"  # or "spread": rotate replicas
     nameserver_read_repair: bool = True      # repair stale replicas at read time
@@ -111,9 +113,9 @@ class SystemConfig:
     # The leased read plane: a per-client LRU of entry snapshots, each
     # served RPC- and lock-free while its lease TTL holds and the ring's
     # fence epoch has not moved.  ``None`` disables the cache (every
-    # ``GetServer`` stays an authoritative locking read).  Setting a
-    # lease boots the sharded name service even at one shard -- the
-    # plane lives in the sharded client.
+    # ``GetServer`` stays an authoritative locking read).  The plane
+    # lives in the ring client every deployment uses, so a lease works
+    # at any shard count, the one-host ring included.
     nameserver_lease: float | None = None
     nameserver_lease_validate: bool = False  # validate-at-commit records
     nameserver_cache_capacity: int = 512     # per-client LRU entries
@@ -203,10 +205,6 @@ class DistributedSystem:
         self.recovery_managers: dict[str, RecoveryManager] = {}
         self.shadow_resolvers: dict[str, ShadowResolver] = {}
 
-        # The name service (assumed always available, paper section 3.1):
-        # one name node by default, or a consistent-hash ring of shard
-        # hosts when ``nameserver_shards > 1``.
-        self.shard_router: ShardRouter | None = None
         # Every leased entry cache handed out by _make_db_client, keyed
         # by owning node -- the churn harnesses audit their ledgers.
         self.entry_caches: dict[str, EntryCache] = {}
@@ -215,7 +213,6 @@ class DistributedSystem:
         self.peer_health: dict[str, PeerHealthTracker] = {}
         self.cleaners: list[UseListCleaner] = []
         self.shard_resyncers: dict[str, ShardResyncManager] = {}
-        self.reshard: ReshardManager | None = None
         self.autoscaler: ShardAutoscaler | None = None
         self.drained_shard_hosts: list[str] = []
         self._shard_name_hosts: dict[str, Any] = {}
@@ -252,45 +249,27 @@ class DistributedSystem:
                 raise ValueError(
                     "nameserver_push_invalidation needs reliable_multicast "
                     "(invalidations ride the ordered multicast)")
-        if shard_count > 1 or lease is not None:
-            if self.config.nonatomic_name_server:
-                raise ValueError(
-                    "the non-atomic name server variant cannot be sharded "
-                    "and has no leased read plane")
-            self._boot_sharded_name_service(shard_count)
-        else:
-            self._boot_single_name_service()
+        if self.config.nonatomic_name_server and (shard_count > 1
+                                                  or lease is not None):
+            raise ValueError(
+                "the non-atomic name server variant cannot be sharded "
+                "and has no leased read plane")
+        # The name service (assumed always available, paper section 3.1):
+        # a consistent-hash ring of ``nameserver_shards`` shard hosts.
+        # The paper's single name node is the one-host ring.
+        self._boot_name_service(shard_count)
         self.cleaner: UseListCleaner | None = (
             self.cleaners[0] if self.cleaners else None)
 
-    def _boot_single_name_service(self) -> None:
-        """The paper's deployment: the whole database on one node."""
-        self.name_node = self._make_node(NAME_NODE, has_store=True)
-        if self.config.nonatomic_name_server:
-            # The section-5 variant: non-atomic server data, atomic St.
-            self.db: Any = HybridNameService(
-                use_exclude_write_lock=self.config.use_exclude_write_lock,
-                metrics=self.metrics, tracer=self.tracer)
-        else:
-            self.db = GroupViewDatabase(
-                use_exclude_write_lock=self.config.use_exclude_write_lock,
-                metrics=self.metrics, tracer=self.tracer)
-        NameShardHost.install_on(self.name_node, self.db)
-        if self.config.enable_cleaner and not self.config.nonatomic_name_server:
-            cleaner = UseListCleaner(
-                self.scheduler, self.name_node.rpc, self.db,
-                interval=self.config.cleaner_interval,
-                metrics=self.metrics, tracer=self.tracer)
-            cleaner.start()
-            self.cleaners.append(cleaner)
-
-    def _boot_sharded_name_service(self, shard_count: int) -> None:
+    def _boot_name_service(self, shard_count: int) -> None:
         """Partition the database across ``shard_count`` store hosts.
 
         Each shard host runs its own :class:`GroupViewDatabase` (own
         lock manager, own undo log) with a colocated cleanup daemon;
         entry placement is the consistent-hash ring shared by every
-        client through :class:`ShardedGroupViewDbClient`.  With
+        client through :class:`ShardedGroupViewDbClient`.  One shard is
+        the paper's deployment: the whole database on one name node
+        (``namenode0``), reached through the same ring client.  With
         ``nameserver_replication > 1`` every entry additionally lives
         on its arc's replica successors, the shard hosts become
         legitimate crash/recovery targets for :class:`FaultPlan` and
@@ -307,7 +286,7 @@ class DistributedSystem:
                     f"shard_weights has {len(self.config.shard_weights)} "
                     f"entries for {shard_count} shards")
             weights = dict(zip(names, self.config.shard_weights))
-        self.shard_router = ShardRouter(
+        self.shard_router: ShardRouter = ShardRouter(
             names, replicas=self.config.shard_ring_replicas,
             partition_power=self.config.shard_partition_power,
             weights=weights)
@@ -319,7 +298,7 @@ class DistributedSystem:
         # interval: the epoch fence rejects (at dispatch time) any write
         # still in flight from a pre-transition ring view, so the copy
         # passes may trust the sources' version probes immediately.
-        self.reshard = ReshardManager(
+        self.reshard: ReshardManager = ReshardManager(
             self.name_node, self.shard_router, replication,
             batch_size=self.config.reshard_batch_size,
             throttle=self.config.reshard_throttle,
@@ -339,18 +318,23 @@ class DistributedSystem:
             return ttl
         return (self.config.nameserver_lease or 1.0) * 8.0
 
-    def _boot_shard_host(self, name: str) -> GroupViewDatabase:
+    def _boot_shard_host(self, name: str) -> Any:
         """Boot one shard host: node, database, services, daemons.
 
         Used both at initial boot and by :meth:`add_shard_host` when
         online resharding grows the ring -- a host booted here serves
         the naming RPC surface immediately but owns no arcs until the
-        router (or a migration epoch flip) says so.
+        router (or a migration epoch flip) says so.  The section-5
+        variant swaps the database for a :class:`HybridNameService`
+        (non-atomic server data, atomic St) and runs no cleaner, which
+        purges use lists through the atomic server database the
+        variant does not have.
         """
-        assert self.shard_router is not None
         replication = self.config.nameserver_replication
         node = self._make_node(name, has_store=True, sync_plane=True)
-        db = GroupViewDatabase(
+        nonatomic = self.config.nonatomic_name_server
+        db_class = HybridNameService if nonatomic else GroupViewDatabase
+        db = db_class(
             use_exclude_write_lock=self.config.use_exclude_write_lock,
             metrics=self.metrics.scoped(f"shard.{name}."),
             tracer=self.tracer)
@@ -390,7 +374,7 @@ class DistributedSystem:
             # recovering shard host must not resurrect its
             # pre-crash lock table or provisional writes.
             self._install_volatile_reset(node, db)
-        if self.config.enable_cleaner:
+        if self.config.enable_cleaner and not nonatomic:
             cleaner = UseListCleaner(
                 self.scheduler, node.rpc, db,
                 interval=self.config.cleaner_interval,
@@ -403,7 +387,7 @@ class DistributedSystem:
         return db
 
     @staticmethod
-    def _install_volatile_reset(node: Node, db: GroupViewDatabase) -> None:
+    def _install_volatile_reset(node: Node, db: Any) -> None:
         """On every recovery, drop the shard db's volatile state.
 
         ``run_now=False`` makes the hook recovery-only: it never fires
@@ -411,77 +395,74 @@ class DistributedSystem:
         """
         node.add_boot_hook(lambda _node: db.reset_volatile(), run_now=False)
 
-    def _make_db_client(self, node: Node) -> Any:
+    def _make_db_client(self, node: Node) -> ShardedGroupViewDbClient:
         """The db adapter a client-side component on ``node`` should use."""
-        if self.shard_router is not None:
-            replication = self.config.nameserver_replication
-            repair = None
-            if replication > 1 and self.config.nameserver_read_repair:
-                repair = ReadRepairer(
-                    self.scheduler, node.rpc, self.shard_router, replication,
-                    spawn=node.spawn,
-                    verify_interval=self.config.read_repair_interval,
-                    sync_suffix=self.sync_suffix,
-                    metrics=self.metrics, tracer=self.tracer)
-            cache = None
-            if self.config.nameserver_lease is not None:
-                # Per-client leased cache: lease expiry runs on the
-                # simulation clock, epoch invalidation on the shared
-                # router's fence -- any reshard or failover that
-                # changes routing kills every pre-change entry.
-                router = self.shard_router
-                cache = EntryCache(
-                    self.config.nameserver_lease,
-                    fence=lambda: router.fence_epoch,
-                    clock=lambda: self.scheduler.now,
-                    capacity=self.config.nameserver_cache_capacity,
-                    metrics=self.metrics,
-                    keep_ledger=self.config.nameserver_cache_ledger,
-                    renewal=self.config.nameserver_renewal)
-                # A node can host several db clients (shadow resolver +
-                # recovery manager): suffix the key rather than shadow
-                # an earlier cache out of the audit registry.
-                key = node.name
-                while key in self.entry_caches:
-                    key += "+"
-                self.entry_caches[key] = cache
-            health = None
-            if self.config.nameserver_peer_health and replication > 1:
-                # Per-client gray detector on the simulation clock; the
-                # registry key mirrors entry_caches (a node can host
-                # several db clients).
-                health = PeerHealthTracker(clock=lambda: self.scheduler.now)
-                hkey = node.name
-                while hkey in self.peer_health:
-                    hkey += "+"
-                self.peer_health[hkey] = health
-            retry_rng = None
-            if self.config.participant_retries > 0:
-                # Jitter must come from a seeded substream (the
-                # determinism invariant); one stream per client node.
-                retry_rng = self.rng.substream(f"2pc-retry/{node.name}")
-            return ShardedGroupViewDbClient(
-                node.rpc, self.shard_router, replication=replication,
-                read_policy=self.config.nameserver_read_policy,
-                repair=repair, cache=cache,
-                validate_leases=self.config.nameserver_lease_validate,
-                clock=lambda: self.scheduler.now,
+        replication = self.config.nameserver_replication
+        repair = None
+        if replication > 1 and self.config.nameserver_read_repair:
+            repair = ReadRepairer(
+                self.scheduler, node.rpc, self.shard_router, replication,
+                spawn=node.spawn,
+                verify_interval=self.config.read_repair_interval,
                 sync_suffix=self.sync_suffix,
-                coherence_node=(node if self.config.nameserver_push_invalidation
-                                and cache is not None else None),
-                batcher=node.commit_batcher,
-                health=health,
-                participant_retries=self.config.participant_retries,
-                participant_backoff=self.config.participant_backoff,
-                retry_rng=retry_rng,
                 metrics=self.metrics, tracer=self.tracer)
-        return GroupViewDbClient(node.rpc, NAME_NODE,
-                                 batcher=node.commit_batcher)
+        cache = None
+        if self.config.nameserver_lease is not None:
+            # Per-client leased cache: lease expiry runs on the
+            # simulation clock, epoch invalidation on the shared
+            # router's fence -- any reshard or failover that
+            # changes routing kills every pre-change entry.
+            router = self.shard_router
+            cache = EntryCache(
+                self.config.nameserver_lease,
+                fence=lambda: router.fence_epoch,
+                clock=lambda: self.scheduler.now,
+                capacity=self.config.nameserver_cache_capacity,
+                metrics=self.metrics,
+                keep_ledger=self.config.nameserver_cache_ledger,
+                renewal=self.config.nameserver_renewal)
+            # A node can host several db clients (shadow resolver +
+            # recovery manager): suffix the key rather than shadow
+            # an earlier cache out of the audit registry.
+            key = node.name
+            while key in self.entry_caches:
+                key += "+"
+            self.entry_caches[key] = cache
+        health = None
+        if self.config.nameserver_peer_health and replication > 1:
+            # Per-client gray detector on the simulation clock; the
+            # registry key mirrors entry_caches (a node can host
+            # several db clients).
+            health = PeerHealthTracker(clock=lambda: self.scheduler.now)
+            hkey = node.name
+            while hkey in self.peer_health:
+                hkey += "+"
+            self.peer_health[hkey] = health
+        retry_rng = None
+        if self.config.participant_retries > 0:
+            # Jitter must come from a seeded substream (the
+            # determinism invariant); one stream per client node.
+            retry_rng = self.rng.substream(f"2pc-retry/{node.name}")
+        return ShardedGroupViewDbClient(
+            node.rpc, self.shard_router, replication=replication,
+            read_policy=self.config.nameserver_read_policy,
+            repair=repair, cache=cache,
+            validate_leases=self.config.nameserver_lease_validate,
+            clock=lambda: self.scheduler.now,
+            sync_suffix=self.sync_suffix,
+            coherence_node=(node if self.config.nameserver_push_invalidation
+                            and cache is not None else None),
+            batcher=node.commit_batcher,
+            health=health,
+            participant_retries=self.config.participant_retries,
+            participant_backoff=self.config.participant_backoff,
+            retry_rng=retry_rng,
+            metrics=self.metrics, tracer=self.tracer)
 
     @property
     def shard_hosts(self) -> list[str]:
         """The shard-host node names -- valid fault-injection targets."""
-        return list(self.shard_router.nodes) if self.shard_router else []
+        return list(self.shard_router.nodes)
 
     # -- online resharding --------------------------------------------------
 
@@ -537,6 +518,17 @@ class DistributedSystem:
             index += 1
         return names
 
+    def _refuse_nonatomic_ring_change(self, what: str) -> None:
+        """The section-5 variant cannot move entries between hosts.
+
+        Migration copies entries under atomic actions and garbage-
+        collects them afterwards; the non-atomic server half has
+        neither locks nor versioned reads to make either safe.
+        """
+        if self.config.nonatomic_name_server:
+            raise ValueError(f"{what} needs the atomic name service (the "
+                             "non-atomic variant cannot reshard)")
+
     def plan_rebalance(self, add: int | list[str] = 0,
                        remove: list[str] | None = None,
                        weights: dict[str, float] | None = None) -> Process:
@@ -557,9 +549,7 @@ class DistributedSystem:
         migration :class:`~repro.sim.process.Process`; the system keeps
         serving throughout.
         """
-        if self.shard_router is None or self.reshard is None:
-            raise ValueError("online resharding needs a sharded name "
-                             "service (boot with nameserver_shards > 1)")
+        self._refuse_nonatomic_ring_change("online resharding")
         if self.reshard.active:
             raise ValueError("a ring membership change is already migrating")
         removed = list(remove or [])
@@ -578,7 +568,6 @@ class DistributedSystem:
         # and serving but never on the ring.
         added, removed, reweighted = self.reshard.validate_plan(
             added, removed, weights)
-        assert isinstance(self.db, ShardedGroupViewDatabase)
         for name in added:
             self.db.add_shard(name, self._boot_shard_host(name))
 
@@ -612,7 +601,6 @@ class DistributedSystem:
         if cleaner is not None:
             cleaner.stop()
             self.cleaners.remove(cleaner)
-        assert isinstance(self.db, ShardedGroupViewDatabase)
         self.db.remove_shard(name)
         self.drained_shard_hosts.append(name)
 
@@ -644,9 +632,7 @@ class DistributedSystem:
         scale-down while the window's p95 is still above it: a quiet
         but slow ring must not shrink.
         """
-        if self.shard_router is None or self.reshard is None:
-            raise ValueError("the autoscaler needs a sharded name service "
-                             "(boot with nameserver_shards > 1)")
+        self._refuse_nonatomic_ring_change("the autoscaler")
         if self.autoscaler is not None:
             raise ValueError("the autoscaler is already running")
         reshard = self.reshard
@@ -672,7 +658,6 @@ class DistributedSystem:
 
     def _shard_op_counts(self) -> dict[str, float]:
         """Cumulative naming-op count per current shard host."""
-        assert self.shard_router is not None
         ops = ("server_db.get_server", "server_db.insert",
                "server_db.remove", "server_db.increment",
                "server_db.decrement", "state_db.get_view",
@@ -727,14 +712,13 @@ class DistributedSystem:
                 node, log_force_interval=self.config.log_force_interval)
             if self.config.enable_shadow_resolvers:
                 self.shadow_resolvers[name] = ShadowResolver(
-                    node, NAME_NODE, tracer=self.tracer,
-                    db_client=self._make_db_client(node))
+                    node, self._make_db_client(node), tracer=self.tracer)
         if server:
             ServerHost.install_on(node, self.registry)
         if self.config.enable_recovery_managers and (store or server):
             self.recovery_managers[name] = RecoveryManager(
-                node, NAME_NODE, serves=[], tracer=self.tracer,
-                db_client=self._make_db_client(node))
+                node, self._make_db_client(node), serves=[],
+                tracer=self.tracer)
         return node
 
     def add_client(self, name: str, policy: ReplicationPolicy | None = None,
@@ -748,9 +732,9 @@ class DistributedSystem:
                                  tracer=self.tracer,
                                  rng=self.rng.substream(f"unbind/{name}"))
         runtime = ClientRuntime(
-            node, NAME_NODE, binding_scheme,
+            node, db_client, binding_scheme,
             policy or SingleCopyPassive(), self.registry,
-            self.type_names, tracer=self.tracer, db_client=db_client)
+            self.type_names, tracer=self.tracer)
         self.clients[name] = runtime
         return runtime
 
@@ -838,15 +822,10 @@ class DistributedSystem:
     def _release_probe_locks(self) -> None:
         from repro.actions.action import ActionId
         probe = ActionId((0,))
-        if isinstance(self.db, ShardedGroupViewDatabase):
-            targets: list[Any] = list(self.db.shards.values())
-        else:
-            targets = [self.db]
-        for db in targets:
+        for db in self.db.shards.values():
             if isinstance(db, GroupViewDatabase):
                 db.server_db.locks.release_all(probe)
-            if hasattr(db, "state_db"):
-                db.state_db.locks.release_all(probe)
+            db.state_db.locks.release_all(probe)
 
     def store_versions(self, uid: Uid) -> dict[str, int]:
         """Committed version of ``uid`` at every up store node."""

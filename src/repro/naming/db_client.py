@@ -1,11 +1,15 @@
-"""Client-side adapter for the group-view database.
+"""The per-shard leg of the name-service client.
 
-Wraps the RPC surface of
+Wraps the RPC surface of one shard host's
 :class:`~repro.naming.group_view_db.GroupViewDatabase` in generator
 methods usable from simulation processes, translates remote errors back
-into their naming/locking exception types, and automatically enlists
-the database as a two-phase-commit participant of the calling action's
-top-level root (once per top-level action).
+into their naming/locking exception types, and enlists the shard as a
+two-phase-commit participant of the calling action's top-level root
+(once per top-level action).  Only
+:class:`~repro.naming.replica_io.ReplicaIO` builds these: every
+deployment, the paper's single name node included, reaches the
+database through the ring client
+(:class:`~repro.naming.sharded_client.ShardedGroupViewDbClient`).
 
 Calls issued on behalf of a captured ring view carry its fence token
 (``ring_epoch``); the replica-copy read protocol itself lives in
@@ -24,7 +28,7 @@ from repro.naming.errors import NamingError, NotQuiescent, UnknownObject
 from repro.naming.group_view_db import SERVICE_NAME
 from repro.naming.object_server_db import ServerEntrySnapshot
 from repro.net.batch import CommitBatcher
-from repro.net.errors import RpcError, RpcRemoteError
+from repro.net.errors import RpcRemoteError
 from repro.net.rpc import RpcAgent
 from repro.storage.uid import Uid
 
@@ -45,7 +49,11 @@ def raise_mapped(error: RpcRemoteError) -> None:
 
 
 class GroupViewDbClient:
-    """Generator-style proxy to the (remote) group-view database.
+    """Generator-style proxy to one (remote) shard database.
+
+    Per-entry operations go through :meth:`call_enlisted` and
+    :meth:`call_reached`; the typed methods below are the ones the
+    replica engine's copy, exclude and lease paths call directly.
 
     ``batcher`` (the owning node's commit batcher, when the deployment
     arms commit batching) is handed to the participant records this
@@ -61,7 +69,7 @@ class GroupViewDbClient:
     action.  The defaults (0 retries) preserve the fail-fast 2PC.
     """
 
-    def __init__(self, rpc: RpcAgent, db_node: str,
+    def __init__(self, rpc: RpcAgent, node: str,
                  service: str = SERVICE_NAME,
                  batcher: "CommitBatcher | None" = None,
                  participant_retries: int = 0,
@@ -69,7 +77,7 @@ class GroupViewDbClient:
                  retry_rng: Any | None = None) -> None:
         self._rpc = rpc
         self._batcher = batcher
-        self.db_node = db_node
+        self.node = node
         self.service = service
         self.participant_retries = participant_retries
         self.participant_backoff = participant_backoff
@@ -92,7 +100,7 @@ class GroupViewDbClient:
             return
         self._enlisted_roots.add(root.id.top_level_serial)
         root.add_record(RemoteParticipantRecord(
-            self._rpc, self.db_node, self.service, order=600,
+            self._rpc, self.node, self.service, order=600,
             batcher=self._batcher, retries=self.participant_retries,
             backoff=self.participant_backoff, rng=self._retry_rng))
 
@@ -114,7 +122,7 @@ class GroupViewDbClient:
         same residue presumed-abort leaves real systems, where an
         orphan terminator picks it up.)
         """
-        self._rpc.call(self.db_node, self.service, "abort",
+        self._rpc.call(self.node, self.service, "abort",
                        self._root(action).id.path)
 
     # -- calls ----------------------------------------------------------------
@@ -122,7 +130,7 @@ class GroupViewDbClient:
     def _call(self, method: str, *args: Any,
               ring_epoch: int | None = None) -> Generator[Any, Any, Any]:
         try:
-            result = yield self._rpc.call(self.db_node, self.service, method,
+            result = yield self._rpc.call(self.node, self.service, method,
                                           *args, ring_epoch=ring_epoch)
         except RpcRemoteError as exc:
             raise_mapped(exc)
@@ -163,7 +171,7 @@ class GroupViewDbClient:
         so it holds nothing of this action's).
         """
         try:
-            result = yield self._rpc.call(self.db_node, self.service, method,
+            result = yield self._rpc.call(self.node, self.service, method,
                                           action.id.path, *args,
                                           ring_epoch=ring_epoch)
         except RpcRemoteError as exc:
@@ -173,45 +181,12 @@ class GroupViewDbClient:
         self.enlist(action)
         return result
 
-    def define_object(self, action: AtomicAction, uid: Uid, sv_hosts: list[str],
-                      st_hosts: list[str]) -> Generator[Any, Any, None]:
-        self.enlist(action)
-        yield from self._call("define_object", action.id.path, str(uid),
-                              list(sv_hosts), list(st_hosts))
-
-    def get_server(self, action: AtomicAction,
-                   uid: Uid) -> Generator[Any, Any, list[str]]:
-        self.enlist(action)
-        return (yield from self._call("get_server", action.id.path, str(uid)))
-
     def get_server_with_uses(self, action: AtomicAction, uid: Uid,
                              for_update: bool = False,
                              ) -> Generator[Any, Any, ServerEntrySnapshot]:
         self.enlist(action)
         return (yield from self._call("get_server_with_uses",
                                       action.id.path, str(uid), for_update))
-
-    def insert(self, action: AtomicAction, uid: Uid,
-               host: str) -> Generator[Any, Any, None]:
-        self.enlist(action)
-        yield from self._call("insert", action.id.path, str(uid), host)
-
-    def remove(self, action: AtomicAction, uid: Uid,
-               host: str) -> Generator[Any, Any, None]:
-        self.enlist(action)
-        yield from self._call("remove", action.id.path, str(uid), host)
-
-    def increment(self, action: AtomicAction, client_node: str, uid: Uid,
-                  hosts: list[str]) -> Generator[Any, Any, None]:
-        self.enlist(action)
-        yield from self._call("increment", action.id.path, client_node,
-                              str(uid), list(hosts))
-
-    def decrement(self, action: AtomicAction, client_node: str, uid: Uid,
-                  hosts: list[str]) -> Generator[Any, Any, None]:
-        self.enlist(action)
-        yield from self._call("decrement", action.id.path, client_node,
-                              str(uid), list(hosts))
 
     def get_view(self, action: AtomicAction,
                  uid: Uid) -> Generator[Any, Any, list[str]]:
@@ -225,11 +200,6 @@ class GroupViewDbClient:
         wire = [(str(uid), list(hosts)) for uid, hosts in exclusions]
         yield from self._call("exclude", action.id.path, wire,
                               ring_epoch=ring_epoch)
-
-    def include(self, action: AtomicAction, uid: Uid,
-                host: str) -> Generator[Any, Any, None]:
-        self.enlist(action)
-        yield from self._call("include", action.id.path, str(uid), host)
 
     # -- lease/sync-plane calls (no action, no enlistment) --------------------
 
@@ -246,32 +216,25 @@ class GroupViewDbClient:
         ``"locked"``/``"unknown"`` markers; RPC failures (and fencing
         rejections) propagate so the caller can fail over.
         """
-        return (yield self._rpc.call(self.db_node, self.service,
+        return (yield self._rpc.call(self.node, self.service,
                                      "read_entry_versioned", uid_text,
                                      ring_epoch=ring_epoch))
 
     def entry_versions_many(self, uid_texts: list[str],
                             ) -> Generator[Any, Any, list[tuple[int, int]]]:
         """Batched lock-free version probes: one RPC for a whole arc."""
-        return (yield self._rpc.call(self.db_node, self.service,
+        return (yield self._rpc.call(self.node, self.service,
                                      "entry_versions_many", list(uid_texts)))
 
     def read_entry_versioned_many(self, uid_texts: list[str],
                                   ) -> Generator[Any, Any, list[Any]]:
         """Batched :meth:`read_entry_versioned`: one RPC, many snapshots."""
-        return (yield self._rpc.call(self.db_node, self.service,
+        return (yield self._rpc.call(self.node, self.service,
                                      "read_entry_versioned_many",
                                      list(uid_texts)))
 
     def entry_clocks_many(self, uid_texts: list[str],
                           ) -> Generator[Any, Any, list[dict[str, int]]]:
         """Batched per-entry vector clocks: divergence detection's probe."""
-        return (yield self._rpc.call(self.db_node, self.service,
+        return (yield self._rpc.call(self.node, self.service,
                                      "entry_clocks_many", list(uid_texts)))
-
-    def ping(self) -> Generator[Any, Any, bool]:
-        try:
-            answer = yield self._rpc.call(self.db_node, self.service, "ping")
-        except RpcError:
-            return False
-        return answer == "pong"

@@ -109,5 +109,15 @@ class HybridNameService:
         # rolled back -- the defining weakness measured in E6.
         self.state_db.abort(action_path)
 
+    def reset_volatile(self) -> None:
+        """Crash semantics: only the atomic half has volatile state.
+
+        The non-atomic server half applied its updates in place and
+        keeps them; the state half drops its locks and undoes its
+        provisional writes, as a recovering
+        :class:`~repro.naming.group_view_db.GroupViewDatabase` does.
+        """
+        self.state_db.reset_volatile()
+
     def ping(self) -> str:
         return "pong"

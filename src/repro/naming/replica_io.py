@@ -138,9 +138,9 @@ def fetch_entry_copy(rpc: RpcAgent, client: GroupViewDbClient, uid_text: str,
     try:
         snapshot = yield from client.get_server_with_uses(action, uid)
         view = yield from client.get_view(action, uid)
-        versions = yield rpc.call(client.db_node, client.service,
+        versions = yield rpc.call(client.node, client.service,
                                   "entry_versions", uid_text)
-        vclock = yield rpc.call(client.db_node, client.service,
+        vclock = yield rpc.call(client.node, client.service,
                                 "entry_clock", uid_text)
     except (LockRefused, PromotionRefused):
         yield from action.abort()

@@ -4,10 +4,11 @@ Two pieces turn N per-host
 :class:`~repro.naming.group_view_db.GroupViewDatabase` instances into
 one logical service:
 
-- :class:`ShardedGroupViewDbClient` -- the client-side adapter.  It
-  exposes exactly the :class:`~repro.naming.db_client.GroupViewDbClient`
-  surface the binding schemes, replication policies, and recovery
-  daemons are written against, and maps every operation onto the one
+- :class:`ShardedGroupViewDbClient` -- the client-side adapter every
+  deployment uses (the paper's single name node is the one-host
+  ring).  It exposes the naming surface the binding schemes,
+  replication policies, and recovery daemons are written against,
+  and maps every operation onto the one
   :class:`~repro.naming.replica_io.ReplicaIO` engine: epoch-fenced
   fan-out writes through the current
   :class:`~repro.naming.shard_router.RingView`'s write set (each
@@ -47,6 +48,7 @@ from repro.naming.group_view_db import SERVICE_NAME, GroupViewDatabase
 from repro.naming.object_server_db import ServerEntrySnapshot
 from repro.naming.replica_io import READ_POLICIES, ReplicaIO
 from repro.naming.shard_router import ShardRouter
+from repro.net.errors import RpcError
 from repro.net.rpc import RpcAgent
 from repro.storage.uid import Uid
 
@@ -58,7 +60,7 @@ __all__ = [
 
 
 class ShardedGroupViewDbClient:
-    """Routes the :class:`GroupViewDbClient` surface over a shard ring.
+    """Routes the naming-client surface over a shard ring.
 
     With an :class:`~repro.naming.entry_cache.EntryCache` attached, the
     hot ``get_server`` path becomes the *leased read plane*: a cache
@@ -405,8 +407,11 @@ class ShardedGroupViewDbClient:
     def ping(self) -> Generator[Any, Any, bool]:
         """True only when every current shard answers (the db is up)."""
         for node in self.router.nodes:
-            alive = yield from self.io.client_for(node).ping()
-            if not alive:
+            try:
+                answer = yield self.io.rpc.call(node, self.service, "ping")
+            except RpcError:
+                return False
+            if answer != "pong":
                 return False
         return True
 

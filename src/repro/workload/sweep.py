@@ -132,6 +132,43 @@ def _closed_loop(clients: int, txns_per_client: int, server_hosts: int,
     return system, streams, uids
 
 
+def _stream_commits(streams: Sequence[Any],
+                    uids: Sequence[Any]) -> list[tuple[Any, int]]:
+    """Each stream's counter and how many of its transactions committed.
+
+    Stream ``i`` drives ``uids[i % len(uids)]`` (the round-robin of
+    :func:`_closed_loop`); pairs come back in stream order.
+    """
+    return [(uids[i % len(uids)],
+             sum(1 for o in stream.report.outcomes if o.committed))
+            for i, stream in enumerate(streams)]
+
+
+def _read_back(system: Any, expected: Iterable[tuple[Any, int]],
+               timeout: float = 120.0) -> tuple[int, int]:
+    """The lost/stale ledger: re-read each counter against its commits.
+
+    Every ``(uid, committed)`` pair is read, in order, by its own
+    read-only transaction on the first client, which must commit.
+    Returns ``(lost, stale)``: committed increments missing from the
+    final values, and value beyond the committed count (an aborted
+    attempt's effect served from a stale copy).
+    """
+    reader = next(iter(system.clients.values()))
+    lost = stale = 0
+    for uid, committed in expected:
+
+        def read_value(txn, uid=uid):
+            return (yield from txn.invoke(uid, "get"))
+
+        result = system.run_transaction(reader, read_value, read_only=True,
+                                        timeout=timeout)
+        assert result.committed, f"final audit read failed: {result.reason}"
+        lost += max(0, committed - result.value)
+        stale += max(0, result.value - committed)
+    return lost, stale
+
+
 def sharded_nameserver_scenario(
     shards: int,
     clients: int = 24,
@@ -176,16 +213,11 @@ def sharded_nameserver_scenario(
         "p95_latency": percentile(latencies, 0.95),
         "p99_latency": percentile(latencies, 0.99),
     }
-    if system.shard_router is not None:
-        row["entry_spread"] = system.shard_router.spread(uids)
-        row["per_shard_reads"] = {
-            name: system.metrics.counter_value(
-                f"shard.{name}.server_db.get_server")
-            for name in system.shard_router.nodes}
-    else:
-        row["entry_spread"] = {"namenode": len(uids)}
-        row["per_shard_reads"] = {
-            "namenode": system.metrics.counter_value("server_db.get_server")}
+    row["entry_spread"] = system.shard_router.spread(uids)
+    row["per_shard_reads"] = {
+        name: system.metrics.counter_value(
+            f"shard.{name}.server_db.get_server")
+        for name in system.shard_router.nodes}
     return row
 
 
@@ -225,7 +257,6 @@ def sharded_failover_scenario(
         max_attempts, seed, nameserver_shards=shards,
         nameserver_replication=replication, binding_scheme=scheme,
         rpc_timeout=rpc_timeout)
-    assert system.shard_router is not None
     victim = system.shard_hosts[victim_index]
     start, end = outage
     system.install_fault_plan(FaultPlan().outage(start, end, victim))
@@ -328,7 +359,6 @@ def sync_plane_scenario(
         # plane it charges the sync agent's own queue.
         sync_service_time=(shard_service_time if dedicated_sync_nic
                            else None))
-    assert system.shard_router is not None
     for host in system.shard_hosts:
         system.nodes[host].rpc.service_time = shard_service_time
     victim = system.shard_hosts[victim_index]
@@ -347,20 +377,7 @@ def sync_plane_scenario(
              if end <= o.finished_at < max(resync_done, end + 1.0)]
 
     # -- the correctness ledger ---------------------------------------------
-    reader = next(iter(system.clients.values()))
-    lost = stale = 0
-    for i, stream in enumerate(streams):
-        committed = sum(1 for o in stream.report.outcomes if o.committed)
-
-        def read_value(uid=uids[i % len(uids)]):
-            def work(txn):
-                return (yield from txn.invoke(uid, "get"))
-            return work
-
-        result = system.run_transaction(reader, read_value(), read_only=True)
-        assert result.committed, f"final audit read failed: {result.reason}"
-        lost += max(0, committed - result.value)
-        stale += max(0, result.value - committed)
+    lost, stale = _read_back(system, _stream_commits(streams, uids))
 
     def plane_total(plane: str, what: str) -> int:
         return sum(
@@ -571,22 +588,8 @@ def commit_batching_scenario(
     }
     if churn:
         # -- the correctness ledger: re-read every counter ------------------
-        reader = next(iter(system.clients.values()))
-        lost = stale = 0
-        for i, stream in enumerate(streams):
-            committed = sum(1 for o in stream.report.outcomes if o.committed)
-
-            def read_value(uid=uids[i]):
-                def work(txn):
-                    return (yield from txn.invoke(uid, "get"))
-                return work
-
-            result = system.run_transaction(reader, read_value(),
-                                            read_only=True, timeout=30.0)
-            assert result.committed, \
-                f"final audit read failed: {result.reason}"
-            lost += max(0, committed - result.value)
-            stale += max(0, result.value - committed)
+        lost, stale = _read_back(system, _stream_commits(streams, uids),
+                                 timeout=30.0)
         row["crashed_host"] = st_hosts[victim_index]
         row["lost_bindings"] = lost
         row["stale_bindings"] = stale
@@ -641,7 +644,6 @@ def online_reshard_scenario(
         max_attempts, seed, nameserver_shards=initial_shards,
         nameserver_replication=replication, binding_scheme=scheme,
         service_time=service_time, rpc_timeout=rpc_timeout)
-    assert system.shard_router is not None
     flips: list[dict[str, Any]] = []
 
     def driver():
@@ -666,20 +668,7 @@ def online_reshard_scenario(
     system.run(until=system.scheduler.now + 2.0)  # let repairs settle
 
     # -- the correctness ledger ---------------------------------------------
-    reader = next(iter(system.clients.values()))
-    lost = stale = 0
-    for i, stream in enumerate(streams):
-        committed = sum(1 for o in stream.report.outcomes if o.committed)
-
-        def read_value(uid=uids[i]):
-            def work(txn):
-                return (yield from txn.invoke(uid, "get"))
-            return work
-
-        result = system.run_transaction(reader, read_value(), read_only=True)
-        assert result.committed, f"final audit read failed: {result.reason}"
-        lost += max(0, committed - result.value)
-        stale += max(0, result.value - committed)
+    lost, stale = _read_back(system, _stream_commits(streams, uids))
 
     reasons = report.abort_reasons()
     aborted_for_routing = sum(
@@ -840,8 +829,7 @@ def leased_read_scenario(
         binding_scheme="standard", nameserver_lease=lease,
         nameserver_cache_ledger=lease is not None,
         rpc_timeout=rpc_timeout, **config_kwargs)
-    name_hosts = system.shard_hosts or ["namenode"]
-    for host in name_hosts:
+    for host in system.shard_hosts:
         system.nodes[host].rpc.service_time = shard_service_time
     report = run_streams(system, streams)
     latencies = [o.latency for o in report.outcomes]
@@ -852,8 +840,7 @@ def leased_read_scenario(
                      for cache in system.entry_caches.values())
     get_server_rpcs = sum(
         system.metrics.counter_value(f"shard.{name}.server_db.get_server")
-        for name in system.shard_hosts
-    ) or system.metrics.counter_value("server_db.get_server")
+        for name in system.shard_hosts)
     return {
         "shards": shards,
         "lease": lease,
@@ -1366,7 +1353,6 @@ def _gray_host_row(shards, replication, clients, txns_per_client,
         nameserver_peer_health=True, participant_retries=2,
         rpc_timeout=rpc_timeout, fixed_latency=fixed_latency,
         shard_antientropy_interval=2.0)
-    assert system.shard_router is not None
     victims = system.shard_hosts[:gray_hosts]
     fully_gray_arcs = sum(
         1 for uid in uids
@@ -1392,22 +1378,10 @@ def _gray_host_row(shards, replication, clients, txns_per_client,
 
     # -- the correctness ledger: gray must be slow, never wrong ----------
     committed_per_uid = {str(uid): 0 for uid in uids}
-    for i, stream in enumerate(streams):
-        committed = sum(1 for o in stream.report.outcomes if o.committed)
-        committed_per_uid[str(uids[i % len(uids)])] += committed
-    reader = next(iter(system.clients.values()))
-    lost = stale = 0
-    for uid in uids:
-
-        def read_value(uid=uid):
-            def work(txn):
-                return (yield from txn.invoke(uid, "get"))
-            return work
-
-        result = system.run_transaction(reader, read_value(), read_only=True)
-        assert result.committed, f"final audit read failed: {result.reason}"
-        lost += max(0, committed_per_uid[str(uid)] - result.value)
-        stale += max(0, result.value - committed_per_uid[str(uid)])
+    for uid, committed in _stream_commits(streams, uids):
+        committed_per_uid[str(uid)] += committed
+    lost, stale = _read_back(
+        system, [(uid, committed_per_uid[str(uid)]) for uid in uids])
 
     demotions = sum(t.demotions for t in system.peer_health.values())
     gray_now = sorted({peer for t in system.peer_health.values()
@@ -1493,7 +1467,6 @@ def _partial_partition_row(server_hosts, rpc_timeout, fixed_latency,
     # carve different members out of.
     uid = system.create_object(GrayCounter(system.new_uid(), value=0),
                                sv_hosts=list(hosts), st_hosts=list(hosts))
-    assert system.shard_router is not None
     replicas = system.shard_router.preference_list(uid, 2)
     start, end = partition_window
     # Each writer loses one *direction* to a different replica: wa can

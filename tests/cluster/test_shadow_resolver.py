@@ -74,4 +74,4 @@ def test_resolver_requires_store():
     node = system.add_node("plain")
     import pytest
     with pytest.raises(ValueError):
-        ShadowResolver(node, "namenode")
+        ShadowResolver(node, system._make_db_client(node))

@@ -54,8 +54,9 @@ def test_db_probe_helpers_leave_no_locks():
     for _ in range(3):
         system.db_sv(uid)
         system.db_st(uid)
-    assert not system.db.server_db.locks.owners()
-    assert not system.db.state_db.locks.owners()
+    name_db = system.db.shards[system.name_node.name]
+    assert not name_db.server_db.locks.owners()
+    assert not name_db.state_db.locks.owners()
 
 
 def test_store_versions_skips_crashed_nodes():
@@ -109,3 +110,40 @@ def test_new_uid_monotonic():
     uids = [system.new_uid() for _ in range(5)]
     assert uids == sorted(uids)
     assert len(set(uids)) == 5
+
+
+def test_the_paper_deployment_is_a_one_host_ring():
+    system, client, uid = build_system()
+    assert system.shard_hosts == ["namenode0"]
+    assert system.name_node is system.nodes["namenode0"]
+    assert system.db.shard_db(str(uid)) is system.db.shards["namenode0"]
+    assert system.run_transaction(client, add_work(uid, 1)).committed
+
+
+@pytest.mark.parametrize("nonatomic", [False, True],
+                         ids=["atomic", "nonatomic"])
+def test_recovering_the_name_node_drops_its_volatile_state(nonatomic):
+    """Locks and undo logs are volatile: a crash of the name node must
+    not bring back the lock owners or the provisional writes of an
+    action that was in flight when it went down (fail-silent crash,
+    stable committed entries).  The section-5 variant resets its
+    atomic St half the same way."""
+    system, client, uid = build_system(nonatomic_name_server=nonatomic)
+    name_db = system.db.shards[system.name_node.name]
+    in_flight = (1,)
+    name_db.exclude(in_flight, [(str(uid), ["t2"])])
+    if not nonatomic:
+        name_db.server_db.get_server_with_uses(in_flight, uid,
+                                               for_update=True)
+        assert name_db.server_db.locks.owners()
+    assert name_db.state_db.locks.owners()
+
+    system.name_node.crash()
+    system.name_node.recover()
+
+    assert not name_db.state_db.locks.owners()
+    if not nonatomic:
+        assert not name_db.server_db.locks.owners()
+    assert system.db_st(uid) == ["t1", "t2"], \
+        "the in-flight exclude must be undone, not resurrected"
+    assert system.run_transaction(client, add_work(uid, 1)).committed

@@ -70,9 +70,10 @@ def test_guard_probe_failure_aborts_instead_of_leaking_locks():
     ghost = system.new_uid()
     system.nodes["t1"].object_store.install(ghost, b"", version=1)
     system.run(until=system.scheduler.now + 10.0)  # several guard rounds
-    assert not system.db.state_db.locks.is_locked(("st", ghost)), \
+    name_db = system.db.shards[system.name_node.name]
+    assert not name_db.state_db.locks.is_locked(("st", ghost)), \
         "an abandoned probe action must not leave read locks behind"
-    assert not system.db.server_db.locks.is_locked(("sv", ghost))
+    assert not name_db.server_db.locks.is_locked(("sv", ghost))
     # The system stays fully usable for real objects.
     assert system.run_transaction(client, add_work(uid, 1)).committed
 

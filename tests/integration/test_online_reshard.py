@@ -230,14 +230,21 @@ def test_sweep_garbage_collects_an_install_that_raced_the_flip():
     assert system.run_transaction(client, add_work(uid, 1)).committed
 
 
-def test_resharding_requires_a_sharded_deployment():
-    system = DistributedSystem(SystemConfig(seed=7))
+def test_resharding_refuses_the_nonatomic_variant():
+    """The section-5 name server has no atomic entries to migrate, so
+    every ring change refuses it up front (the default one-host ring
+    reshards; see tests/workload/test_sweep.py)."""
+    system = DistributedSystem(SystemConfig(seed=7,
+                                            nonatomic_name_server=True))
     with pytest.raises(ValueError):
         system.add_shard_host()
     with pytest.raises(ValueError):
-        system.drain_shard_host("namenode")
+        system.drain_shard_host(system.name_node.name)
     with pytest.raises(ValueError):
         system.enable_autoscaler()
+    assert system.shard_hosts == [system.name_node.name]
+    assert list(system.nodes) == [system.name_node.name], \
+        "a refused ring change must boot no host"
 
 
 def test_autoscaler_grows_the_ring_under_load():

@@ -18,9 +18,9 @@ def test_client_partitioned_from_everything_aborts():
 
 def test_partition_isolating_stores_blocks_commit():
     system, client, uid = build_system(st=("t1", "t2"))
-    # Client+servers+namenode on one side; both stores on the other.
+    # Client+servers+name node on one side; both stores on the other.
     system.network.partition(
-        {"c1", "s1", "s2", "s3", "namenode"}, {"t1", "t2"})
+        {"c1", "s1", "s2", "s3", system.name_node.name}, {"t1", "t2"})
     result = system.run_transaction(client, add_work(uid, 1))
     assert not result.committed
     # Nothing was durably changed.
@@ -33,7 +33,7 @@ def test_partition_hiding_one_store_excludes_it():
     system, client, uid = build_system(st=("t1", "t2"),
                                        enable_recovery_managers=False)
     system.network.partition(
-        {"c1", "s1", "s2", "s3", "namenode", "t1"}, {"t2"})
+        {"c1", "s1", "s2", "s3", system.name_node.name, "t1"}, {"t2"})
     result = system.run_transaction(client, add_work(uid, 1))
     assert result.committed
     assert system.db_st(uid) == ["t1"]
@@ -45,7 +45,7 @@ def test_active_replication_minority_replica_masked():
     def work(txn):
         yield from txn.invoke(uid, "add", 1)
         system.network.partition(
-            {"c1", "s1", "s2", "namenode", "t1"}, {"s3"})
+            {"c1", "s1", "s2", system.name_node.name, "t1"}, {"s3"})
         v = yield from txn.invoke(uid, "add", 1)
         return v
 

@@ -14,7 +14,8 @@ import pytest
 from repro.actions import AtomicAction
 from repro.naming import GroupViewDatabase
 from repro.naming.binding import IndependentTopLevelBinding
-from repro.naming.db_client import GroupViewDbClient
+from repro.naming.shard_router import ShardRouter
+from repro.naming.sharded_client import ShardedGroupViewDbClient
 from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import MetricsRegistry, Scheduler
 from repro.storage import Uid
@@ -42,7 +43,8 @@ class World:
         nic_client = self.network.attach("client")
         client_agent = RpcAgent(self.scheduler, nic_client,
                                 demux=MessageDemux(nic_client))
-        self.db_client = GroupViewDbClient(client_agent, "db")
+        self.db_client = ShardedGroupViewDbClient(client_agent,
+                                                  ShardRouter(["db"]))
         self.scheme = IndependentTopLevelBinding(
             self.db_client, "client", metrics=MetricsRegistry())
 

@@ -15,7 +15,8 @@ from repro.naming.binding import (
     NestedTopLevelBinding,
     StandardBinding,
 )
-from repro.naming.db_client import GroupViewDbClient
+from repro.naming.shard_router import ShardRouter
+from repro.naming.sharded_client import ShardedGroupViewDbClient
 from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import MetricsRegistry, Scheduler
 from repro.storage import Uid
@@ -41,7 +42,8 @@ class World:
         nic_client = self.network.attach("client")
         self.client_agent = RpcAgent(self.scheduler, nic_client,
                                      demux=MessageDemux(nic_client))
-        self.db_client = GroupViewDbClient(self.client_agent, "db")
+        self.db_client = ShardedGroupViewDbClient(self.client_agent,
+                                                  ShardRouter(["db"]))
         self.scheme = scheme_cls(self.db_client, "client",
                                  metrics=self.metrics, **scheme_kwargs)
         self.dead_hosts = set(dead)

@@ -1,11 +1,13 @@
-"""Tests for the client-side database adapter."""
+"""Tests for the name-service client over a one-host ring (the paper's
+single name node): error mapping, enlistment, and the 2PC cycle."""
 
 import pytest
 
 from repro.actions import ActionStatus, AtomicAction, LockRefused, PromotionRefused
 from repro.actions.records import RemoteParticipantRecord
 from repro.naming import GroupViewDatabase, NotQuiescent, UnknownObject
-from repro.naming.db_client import GroupViewDbClient
+from repro.naming.shard_router import ShardRouter
+from repro.naming.sharded_client import ShardedGroupViewDbClient
 from repro.net import FixedLatency, MessageDemux, Network, RpcAgent
 from repro.sim import Scheduler
 from repro.storage import Uid
@@ -25,7 +27,8 @@ def make_world():
     db_agent.register("group_view_db", db)
     nic_c = net.attach("client")
     client_agent = RpcAgent(s, nic_c, demux=MessageDemux(nic_c))
-    return s, net, db, GroupViewDbClient(client_agent, "db")
+    client = ShardedGroupViewDbClient(client_agent, ShardRouter(["db"]))
+    return s, net, db, client
 
 
 def run(s, gen):

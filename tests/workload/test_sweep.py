@@ -30,6 +30,23 @@ def test_online_reshard_scenario_row_shape():
     assert row["migration_done_at"] > row["migration_started_at"]
 
 
+def test_a_one_host_ring_reshards_live():
+    """The paper's single name node is the one-host ring, so it grows
+    to two hosts under traffic like any other ring."""
+    row = online_reshard_scenario(initial_shards=1, target_shards=2,
+                                  replication=1, clients=6,
+                                  txns_per_client=12, server_hosts=2,
+                                  reshard_at=1.0)
+    assert row["shards_before"] == 1
+    assert row["shards_after"] == 2
+    assert row["epochs"] == 1
+    assert row["commit_rate"] == 1.0
+    assert row["lost_bindings"] == 0
+    assert row["stale_bindings"] == 0
+    assert row["misplaced_entries"] == 0
+    assert row["aborted_for_routing"] == 0
+
+
 def test_spread_read_scenario_row_shape():
     row = spread_read_scenario(read_policy="spread", clients=6,
                                txns_per_client=4)
